@@ -127,22 +127,28 @@ def and_all(fs: list[Formula]) -> Formula:
 def nesting_depth(f: Formula) -> int:
     """Maximum count of negation/modal operators along any path; the measure
     reported in metrics (one fixed definition, recorded here: every NotF,
-    Diamond and Ef node counts one level)."""
-    if isinstance(f, (Atom, TrueF)):
-        return 0
-    if isinstance(f, NotF):
-        return 1 + nesting_depth(f.f)
-    if isinstance(f, (AndF, OrF)):
-        return max(nesting_depth(f.left), nesting_depth(f.right))
-    if isinstance(f, Diamond):
-        return 1 + nesting_depth(f.f)
-    if isinstance(f, Ef):
-        return 1 + nesting_depth(f.f)
-    if isinstance(f, Eg):
-        return 1 + nesting_depth(f.f)
-    if isinstance(f, Eu):
-        return 1 + max(nesting_depth(f.left), nesting_depth(f.right))
-    raise TypeError(f"not a formula: {f!r}")
+    Diamond and Ef node counts one level).  Each node object of the formula
+    DAG is visited once: characteristic formulas share subformulas, and are
+    far larger as trees."""
+    memo: dict[int, int] = {}
+
+    def depth(f: Formula) -> int:
+        d = memo.get(id(f))
+        if d is None:
+            if isinstance(f, (Atom, TrueF)):
+                d = 0
+            elif isinstance(f, (AndF, OrF)):
+                d = max(depth(f.left), depth(f.right))
+            elif isinstance(f, (NotF, Diamond, Ef, Eg)):
+                d = 1 + depth(f.f)
+            elif isinstance(f, Eu):
+                d = 1 + max(depth(f.left), depth(f.right))
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            memo[id(f)] = d
+        return d
+
+    return depth(f)
 
 
 @dataclass
@@ -163,9 +169,7 @@ def denote(
     memoization of structurally equal subformulas."""
     metrics = metrics if metrics is not None else Metrics()
     metrics.nesting_depth = max(metrics.nesting_depth, nesting_depth(f))
-    memo: dict[Formula, SymbolicSet] = {}
-    result = _denote(g, f, memo, metrics, max_pool)
-    return Denotation(result, f, metrics)
+    return Denotation(_denote(g, f, {}, metrics, max_pool), f, metrics)
 
 
 def _atom_clauses(f: Formula) -> Optional[list[Clause]]:
@@ -207,12 +211,9 @@ def _denote(g, f, memo, metrics, max_pool) -> SymbolicSet:
             _denote(g, f.right, memo, metrics, max_pool),
         )
     elif isinstance(f, Diamond):
-        if f.action not in g.acts:
-            raise ValueError(f"unknown action {f.action!r}")
-        inner = _denote(g, f.f, memo, metrics, max_pool)
-        result = sets.empty_set(vars, consts)
-        for rule_g in sets.transitional_graphs(g, f.guard, (f.action,)):
-            result = sets.union(result, sets.pre_constraint(rule_g, inner, metrics))
+        result = sets.pre_action(
+            g, f.action, _denote(g, f.f, memo, metrics, max_pool), f.guard, metrics
+        )
     elif isinstance(f, Ef):
         inner = _denote(g, f.f, memo, metrics, max_pool)
         result = sets.pre_star(
@@ -243,8 +244,8 @@ def check(
     metrics = metrics if metrics is not None else Metrics()
     metrics.nesting_depth = max(metrics.nesting_depth, nesting_depth(f))
     if isinstance(f, Ef):
-        inner = denote(g, f.f, metrics=metrics, max_pool=max_pool).set
+        inner = _denote(g, f.f, {}, metrics, max_pool)
         return sets.reaches(
             g, dict(v), inner, f.guard, f.actions, metrics=metrics, max_pool=max_pool
         )
-    return sets.contains(denote(g, f, metrics=metrics, max_pool=max_pool).set, dict(v))
+    return sets.contains(_denote(g, f, {}, metrics, max_pool), dict(v))

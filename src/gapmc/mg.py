@@ -13,6 +13,7 @@ value.  All operations are pure; graphs are never mutated after construction.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -59,66 +60,20 @@ class UnsatisfiableGraphError(ValueError):
     """Raised when an operation requires a satisfiable graph."""
 
 
-try:  # the single-graph check behind compose is compiled when numba is available
-    from numba import njit
-
-    @njit(cache=True)
-    def _fw_inplace_abort(w):  # pragma: no cover - compiled
-        """Max-plus Floyd-Warshall on a matrix without +inf entries;
-        returns True (and stops) when a positive-weight cycle appears."""
-        n = w.shape[0]
-        for k in range(n):
-            for i in range(n):
-                wik = w[i, k]
-                if wik == -np.inf:
-                    continue
-                for j in range(n):
-                    c = wik + w[k, j]
-                    if c > w[i, j]:
-                        w[i, j] = c
-            for i in range(n):
-                if w[i, i] > 0:
-                    return True
-        return False
-
-except ImportError:  # pragma: no cover
-
-    def _fw_inplace_abort(w):
-        n = w.shape[0]
-        for k in range(n):
-            np.maximum(w, w[:, k : k + 1] + w[k : k + 1, :], out=w)
-            if (np.diagonal(w) > 0).any():
-                return True
-        return False
-
-
 def _close_stack(ws: np.ndarray, pivots: Iterable[int]) -> None:
     """Max-plus Floyd-Warshall in place over the given pivot nodes, one
-    vectorised step per pivot across a stack of matrices without +inf
-    entries.  Positive cycles are not detected here: callers test the
-    diagonals once afterwards."""
+    vectorised step per pivot across a stack of matrices.  A path through
+    -inf + +inf is NaN, which fmax ignores: an unreachable segment adds no
+    constraint.  Positive cycles are not detected here: callers test the
+    diagonals afterwards.  This is the one closure kernel; a compiled
+    kernel would replace this function."""
     for k in pivots:
-        np.maximum(ws, ws[:, :, k : k + 1] + ws[:, k : k + 1, :], out=ws)
+        np.fmax(ws, ws[:, :, k : k + 1] + ws[:, k : k + 1, :], out=ws)
 
 
-def _madd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Max-plus addition of weight matrices; -inf + +inf is -inf
-    (a path through an unreachable segment contributes no constraint)."""
-    with np.errstate(invalid="ignore"):
-        out = a + b
-    nan = np.isnan(out)
-    if nan.any():
-        out[nan] = NEG_INF
-    return out
-
-
-# per-universe caches of the constant-seeding matrix, the flat indices of the
-# constraint entries and more; universes in one run are few while graphs
-# number in the thousands
-_SEED_CACHE: dict = {}
-_MASK_CACHE: dict = {}
-_PROJ_CACHE: dict = {}
-_UNSAT_CACHE: dict = {}
+# per-universe tables are cached: universes in one run are few while graphs
+# number in the thousands; the bound keeps a long-lived process from growing
+_UNIVERSE_CACHE_SIZE = 64
 
 
 def _put_clauses(
@@ -140,22 +95,28 @@ def _put_clauses(
         np.maximum.at(ws.reshape(-1), flat, np.array(ks, dtype=float))
 
 
-def _seed(g: "MonotonicityGraph") -> np.ndarray:
+@functools.lru_cache(maxsize=_UNIVERSE_CACHE_SIZE)
+def _seed(n: int, consts: tuple) -> np.ndarray:
     """The implicit constant-difference edges c ->(c-d) d for every ordered
-    pair of distinct constants of g's universe, -inf elsewhere."""
-    key = g._universe_key()
-    seed = _SEED_CACHE.get(key)
-    if seed is None:
-        ns = g.nodes()
-        seed = np.full((len(ns), len(ns)), NEG_INF)
-        ci = [(i, x) for i, x in enumerate(ns) if is_const(x)]
-        for i, x in ci:
-            for j, y in ci:
-                if i != j:
-                    seed[i, j] = x - y
-        seed.setflags(write=False)
-        _SEED_CACHE[key] = seed
+    pair of distinct constants, the last nodes of an n-node universe;
+    -inf elsewhere."""
+    seed = np.full((n, n), NEG_INF)
+    c0 = n - len(consts)
+    for i, x in enumerate(consts, c0):
+        for j, y in enumerate(consts, c0):
+            if i != j:
+                seed[i, j] = x - y
+    seed.setflags(write=False)
     return seed
+
+
+@functools.lru_cache(maxsize=_UNIVERSE_CACHE_SIZE)
+def _constraint_entries(n: int, n_consts: int) -> np.ndarray:
+    """Flat indices of the node pairs that express constraints: everything
+    except pairs of constants (implicit arithmetic facts), which are the
+    last n_consts nodes."""
+    const = np.arange(n) >= n - n_consts
+    return np.flatnonzero(~(const[:, None] & const[None, :]))
 
 
 class MonotonicityGraph:
@@ -178,7 +139,8 @@ class MonotonicityGraph:
         n = len(self.nodes())
         if w is None:
             w = np.full((n, n), NEG_INF)
-        assert w.shape == (n, n)
+        if w.shape != (n, n):
+            raise ValueError(f"weight matrix of shape {w.shape} for {n} nodes")
         self.w = w
         self.w.setflags(write=False)
         self.closed = closed
@@ -249,13 +211,10 @@ class MonotonicityGraph:
 
     # -- core algebra ------------------------------------------------------
 
-    def _universe_key(self) -> tuple:
-        return (self.vars, self.consts, self.transitional)
-
     def _seeded(self) -> np.ndarray:
         """Mutable weight copy with the implicit constant-difference edges
         c ->(c-d) d seeded for every ordered pair of distinct constants."""
-        return np.maximum(self.w, _seed(self))
+        return np.maximum(self.w, _seed(self.w.shape[0], self.consts))
 
     def closure(self) -> "MonotonicityGraph":
         """Tightest path-derived weights (all-pairs max-plus), with implicit
@@ -264,14 +223,8 @@ class MonotonicityGraph:
         if self.closed:
             return self
         w = self._seeded()
-        n = w.shape[0]
-        if np.isposinf(w).any():
-            for k in range(n):
-                cand = _madd(w[:, k : k + 1], w[k : k + 1, :])
-                np.maximum(w, cand, out=w)
-        else:
-            # no +inf anywhere, so no -inf + +inf cases can arise
-            _close_stack(w[None], range(n))
+        with np.errstate(invalid="ignore"):
+            _close_stack(w[None], range(w.shape[0]))
         diag = np.diagonal(w)
         pos = diag > 0
         if pos.any():
@@ -280,31 +233,8 @@ class MonotonicityGraph:
             w[(to_cyc[:, :, None] & from_cyc[None, :, :]).any(axis=1)] = POS_INF
         return self.with_weights(w, closed=True)
 
-    def closed_if_satisfiable(self) -> Optional["MonotonicityGraph"]:
-        """closure(), or None as soon as unsatisfiability shows up (a +inf
-        weight or a positive-weight cycle)."""
-        if self.closed:
-            return None if np.isposinf(self.w).any() else self
-        w = self._seeded()
-        if np.isposinf(w).any():
-            return None
-        if _fw_inplace_abort(w):
-            return None
-        return self.with_weights(w, closed=True)
-
     def is_satisfiable(self) -> bool:
         return not np.isposinf(self.closure().w).any()
-
-    def _constraint_entries(self) -> np.ndarray:
-        """Flat indices of the node pairs that express constraints:
-        everything except pairs of constants (implicit arithmetic facts)."""
-        key = self._universe_key()
-        entries = _MASK_CACHE.get(key)
-        if entries is None:
-            const = np.array([is_const(x) for x in self.nodes()])
-            entries = np.flatnonzero(~(const[:, None] & const[None, :]))
-            _MASK_CACHE[key] = entries
-        return entries
 
     def degree(self) -> int:
         """Magnitude of the most negative finite edge weight.  Edges between
@@ -313,7 +243,7 @@ class MonotonicityGraph:
 
     def stats(self) -> tuple[int, int]:
         """(degree, norm) in one pass over the constraint entries."""
-        w = self.w.take(self._constraint_entries())
+        w = self.w.take(_constraint_entries(self.w.shape[0], len(self.consts)))
         finite = w[np.isfinite(w)]
         if finite.size == 0:
             return 0, 0
@@ -398,27 +328,23 @@ def compose(g: MonotonicityGraph, m: MonotonicityGraph) -> MonotonicityGraph:
     copies, intersect with the transitional graph g, project onto the
     unprimed variables.  Satisfied exactly by the g-predecessors of Sat(m).
 
-    The result of an unsatisfiable combination is returned as an explicitly
-    unsatisfiable graph (satisfiability can be lost in the projected-away
-    primed part, so it is checked before projecting)."""
+    The result of an unsatisfiable combination is the shared unsat_graph
+    (satisfiability can be lost in the projected-away primed part, so it is
+    checked before projecting).  This full closure over every node is the
+    reference that compose_batch is tested against."""
     if not g.transitional or m.transitional:
         raise ValueError("compose expects a transitional g and a plain m")
     if g.vars != m.vars or g.consts != m.consts:
         raise ValueError("compose requires matching variables and constants")
     nv = len(g.vars)
-    n = len(g.nodes())
     # m's node i (a variable) becomes primed slot nv + i; constants keep
     # their tail position, so m maps onto the contiguous block nv..n
-    w = g._seeded()
+    w = np.array(g.w)
     np.maximum(w[nv:, nv:], m.w, out=w[nv:, nv:])
-    if w.max() == POS_INF or _fw_inplace_abort(w):
+    c = g.with_weights(w).closure()
+    if np.isposinf(c.w).any():
         return unsat_graph(g.vars, g.consts)
-    key = (nv, n)
-    sel = _PROJ_CACHE.get(key)
-    if sel is None:
-        sel = np.ix_(np.r_[0:nv, 2 * nv : n], np.r_[0:nv, 2 * nv : n])
-        _PROJ_CACHE[key] = sel
-    return MonotonicityGraph._make(g.vars, g.consts, False, w[sel], True)
+    return c.restrict(g.vars)
 
 
 class RuleStack:
@@ -468,7 +394,7 @@ def close_rules(
     sorted and distinct, as in every graph."""
     g = MonotonicityGraph(vars, consts, transitional=True)
     idx = g.index()
-    base = np.array(_seed(g))
+    base = np.array(_seed(len(idx), consts))
     _put_clauses(base[None], idx, [guard])
     ws = np.repeat(base[None], len(rules), axis=0)
     _put_clauses(ws, idx, rules)
@@ -510,16 +436,12 @@ def compose_batch(
     return out
 
 
+@functools.lru_cache(maxsize=_UNIVERSE_CACHE_SIZE)
 def unsat_graph(vars: tuple, consts: tuple) -> MonotonicityGraph:
     """The canonical explicitly unsatisfiable plain graph of a universe
     (all weights +inf); one shared instance per universe."""
-    key = (vars, consts)
-    g = _UNSAT_CACHE.get(key)
-    if g is None:
-        n = len(vars) + len(consts)
-        g = MonotonicityGraph(vars, consts, False, np.full((n, n), POS_INF), closed=True)
-        _UNSAT_CACHE[key] = g
-    return g
+    n = len(vars) + len(consts)
+    return MonotonicityGraph(vars, consts, False, np.full((n, n), POS_INF), closed=True)
 
 
 def canonicalize(m: MonotonicityGraph) -> MonotonicityGraph:

@@ -18,7 +18,6 @@ import numpy as np
 from .mg import (
     Clause,
     MonotonicityGraph,
-    POS_INF,
     RuleStack,
     basis_clauses,
     close_rules,
@@ -49,11 +48,12 @@ class Metrics:
     constraint_count: int = 0
     nesting_depth: int = 0
 
-    def saw_graph(self, g: MonotonicityGraph, counted: bool = False) -> None:
-        if not counted:
-            self.graphs_created += 1
-        if g.closed and g.w.item(0) == POS_INF:
-            return  # explicitly unsatisfiable result; carries no sizes
+    def saw_graph(self, g: Optional[MonotonicityGraph]) -> None:
+        """Count one composition result: a graph, or None when the
+        composition is unsatisfiable (which carries no sizes)."""
+        self.graphs_created += 1
+        if g is None:
+            return
         degree, norm = g.stats()
         self.max_norm = max(self.max_norm, norm)
         self.degree_bound = max(self.degree_bound, degree)
@@ -172,45 +172,46 @@ def same_set(s: SymbolicSet, t: SymbolicSet) -> bool:
     return subset_of(s, t) and subset_of(t, s)
 
 
-def pre_constraint(
-    g: MonotonicityGraph, s: SymbolicSet, metrics: Optional[Metrics] = None
+def pre_constraint(g: MonotonicityGraph, s: SymbolicSet) -> SymbolicSet:
+    """Predecessors of s under a single transitional constraint graph, by
+    the full-closure compose; the reference pre_action is tested against."""
+    return make_set(s.vars, s.consts, [compose(g, m) for m in s.members])
+
+
+def pre_action(
+    gcs,
+    action: str,
+    s: SymbolicSet,
+    guard: Sequence[Clause] = (),
+    metrics: Optional[Metrics] = None,
 ) -> SymbolicSet:
-    """Predecessors of s under a single transitional constraint graph."""
-    out = []
-    for m in s.members:
-        p = compose(g, m)
-        if metrics is not None:
-            metrics.saw_graph(p)
-        out.append(p)
-    return make_set(s.vars, s.consts, out)
-
-
-def pre_action(gcs, action: str, s: SymbolicSet, metrics: Optional[Metrics] = None) -> SymbolicSet:
-    """Predecessors of s over all rules carrying the given action label."""
+    """Predecessors of s over all rules carrying the given action label, each
+    step also satisfying the guard (which may hold non-positive clauses)."""
     if action not in gcs.acts:
         raise ValueError(f"unknown action {action!r}")
-    result = empty_set(s.vars, s.consts)
-    for g in transitional_graphs(gcs, actions=(action,)):
-        result = union(result, pre_constraint(g, s, metrics))
-    return result
-
-
-def _closed_rules(gcs, guard, actions) -> tuple[tuple, tuple, np.ndarray]:
-    acts = None if actions is None else set(actions)
-    vars, consts = tuple(sorted(set(gcs.vars))), tuple(sorted(set(gcs.consts)))
-    rules = [r.clauses for r in gcs.rules if acts is None or r.label in acts]
-    return vars, consts, close_rules(vars, consts, rules, guard)
+    rules = transitional_graphs(gcs, guard, (action,))
+    out = []
+    for m in s.members:
+        for p in compose_batch(rules, m.w):
+            if metrics is not None:
+                metrics.saw_graph(p)
+            if p is not None:
+                out.append(p)
+    return make_set(s.vars, s.consts, out)
 
 
 def transitional_graphs(
     gcs,
     guard: Sequence[Clause] = (),
     actions: Optional[Iterable[str]] = None,
-) -> list[MonotonicityGraph]:
+) -> RuleStack:
     """The rule graphs of a system, optionally label-filtered and intersected
-    with a guard constraint, closed; unsatisfiable ones are dropped."""
-    vars, consts, ws = _closed_rules(gcs, guard, actions)
-    return [MonotonicityGraph._make(vars, consts, True, w, True) for w in ws]
+    with a guard constraint, closed and stacked; unsatisfiable ones are
+    dropped."""
+    acts = None if actions is None else set(actions)
+    vars, consts = tuple(sorted(set(gcs.vars))), tuple(sorted(set(gcs.consts)))
+    rules = [r.clauses for r in gcs.rules if acts is None or r.label in acts]
+    return RuleStack(vars, consts, close_rules(vars, consts, rules, guard))
 
 
 def pre_star(
@@ -260,7 +261,7 @@ def _pre_star_pool(gcs, s, guard, actions, *, metrics, max_pool, stop_at=None):
         metrics.dimension = (len(s.vars) + len(s.consts)) ** 2
         metrics.constants_magnitude = max((abs(c) for c in s.consts), default=0)
         metrics.constraint_count = len(gcs.rules)
-    rules = RuleStack(*_closed_rules(gcs, guard, actions))
+    rules = transitional_graphs(gcs, guard, actions)
     pool: list[MonotonicityGraph] = list(s.members)
     work = deque(pool)
     if stop_at is not None and pool:
@@ -281,11 +282,9 @@ def _pre_star_pool(gcs, s, guard, actions, *, metrics, max_pool, stop_at=None):
         n = work.popleft()
         for p in compose_batch(rules, n.w):
             if metrics is not None:
-                metrics.graphs_created += 1
+                metrics.saw_graph(p)
             if p is None:
                 continue  # unsatisfiable composition
-            if metrics is not None:
-                metrics.saw_graph(p, counted=True)
             if bool((pool_w[:n_pool] <= p.w).all(axis=(1, 2)).any()):
                 continue
             if stop_at is not None and (diff >= p.w).all():

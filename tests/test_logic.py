@@ -155,6 +155,14 @@ def test_nesting_depth_examples():
     assert nesting_depth(AndF(NotF(TrueF()), TrueF())) == 1
 
 
+def test_nesting_depth_of_shared_subformulas():
+    # 2**100 nodes as a tree, 201 distinct node objects
+    f = TrueF()
+    for _ in range(100):
+        f = AndF(NotF(f), Diamond("a", f))
+    assert nesting_depth(f) == 100
+
+
 def test_nesting_depth_reported_in_metrics(countdown):
     metrics = Metrics()
     denote(countdown, Ef(NotF(Diamond("a", TrueF()))), metrics=metrics)

@@ -153,6 +153,29 @@ def test_closure_matches_oracle_several_constants():
         assert (m.closure().w == closure_oracle(m)).all()
 
 
+def test_closure_matches_oracle_with_inf_inputs():
+    # a "+inf" weight read from a set file reaches closure() as input; a
+    # path through it and through a -inf entry must add no constraint
+    rng = random.Random(13)
+    vars, consts = ("x", "y"), (-1, 0, 2)
+    for i in range(600):
+        if i % 2:
+            m = random_plain_mg(rng, vars, consts, max_clauses=6)
+        else:
+            m = random_transitional_mg(rng, vars, consts, max_clauses=6, positive=False)
+        w = np.array(m.w)
+        n = w.shape[0]
+        for _ in range(rng.randint(1, 2)):
+            w[rng.randrange(n), rng.randrange(n)] = POS_INF
+        m = m.with_weights(w)
+        assert (m.closure().w == closure_oracle(m)).all()
+
+
+def test_weight_matrix_shape_is_checked():
+    with pytest.raises(ValueError):
+        MonotonicityGraph(VARS, CONSTS, w=np.zeros((2, 2)))
+
+
 # -- satisfiability -------------------------------------------------------------
 
 

@@ -225,6 +225,28 @@ def test_pre_action_two_rules_same_label(countdown):
         from_constraint(g2.rules[1].clauses, VARS, CONSTS, transitional=True), s
     )
     assert same_set(both, union(one, two))
+    # a guard of either sign restricts every step, and pre_action agrees
+    # member for member with the full-closure reference
+    rng = random.Random(37)
+    terms = ["x", "y", "x'", "y'", 0]
+    nonempty = 0
+    for i in range(60):
+        lo = 0 if i % 2 else -3
+        guard = tuple(
+            Clause(*rng.sample(terms, 2), rng.randint(lo, 3)) for _ in range(rng.randint(1, 3))
+        )
+        s = make_set(VARS, CONSTS, [random_plain_mg(rng) for _ in range(rng.randint(1, 2))])
+        guard_g = from_constraint(guard, VARS, CONSTS, transitional=True)
+        expect = empty_set(VARS, CONSTS)
+        for r in g2.rules:
+            rule_g = from_constraint(r.clauses, VARS, CONSTS, transitional=True)
+            expect = union(expect, pre_constraint(rule_g.intersect(guard_g), s))
+        got = pre_action(g2, "a", s, guard)
+        assert [m.w.tobytes() for m in got.members] == [
+            m.w.tobytes() for m in expect.members
+        ]
+        nonempty += not got.is_empty()
+    assert 10 <= nonempty < 60
 
 
 # -- pre_star ------------------------------------------------------------------------------
