@@ -44,7 +44,16 @@ from .logic import (
     box,
     false_,
 )
-from .mg import NEG_INF, POS_INF, Clause, MonotonicityGraph, Node, is_const, is_primed
+from .mg import (
+    NEG_INF,
+    POS_INF,
+    Clause,
+    MonotonicityGraph,
+    Node,
+    check_exact,
+    is_const,
+    is_primed,
+)
 from .reductions import BAnd, BNot, BOr, BVar, BoolExpr, Qbf
 from .sets import SymbolicSet, make_set
 
@@ -195,31 +204,42 @@ def serialize_clause(c: Clause) -> str:
 # -- systems -----------------------------------------------------------------
 
 
+def _token_list(ts: _Stream) -> list[Token]:
+    """A comma-separated list of single tokens, as in a header entry."""
+    out = [ts.next()]
+    while ts.accept(","):
+        out.append(ts.next())
+    return out
+
+
 def parse_gcs(text: str) -> Gcs:
     ts = _Stream(tokenize(text))
     ts.expect("gcs")
     ts.expect("{")
     vars: tuple[str, ...] = ()
     consts: tuple[int, ...] = ()
+    declared: Optional[tuple[str, ...]] = None
     while not ts.accept("}"):
         key = ts.next()
         ts.expect(":")
         if key.text == "vars":
-            names = [ts.next()]
-            while ts.accept(","):
-                names.append(ts.next())
+            names = _token_list(ts)
             for t in names:
                 if t.kind != "name" or t.text.endswith("'"):
                     raise ParseError(f"bad variable name {t.text!r}", t.line, t.col)
             vars = tuple(t.text for t in names)
         elif key.text == "consts":
-            nums = [ts.next()]
-            while ts.accept(","):
-                nums.append(ts.next())
+            nums = _token_list(ts)
             for t in nums:
                 if t.kind != "num":
                     raise ParseError(f"bad constant {t.text!r}", t.line, t.col)
             consts = tuple(int(t.text) for t in nums)
+        elif key.text == "acts":
+            names = _token_list(ts)
+            for t in names:
+                if t.kind not in ("name", "num"):
+                    raise ParseError(f"bad action name {t.text!r}", t.line, t.col)
+            declared = tuple(t.text for t in names)
         else:
             raise ParseError(f"unknown header entry {key.text!r}", key.line, key.col)
         ts.expect(";")
@@ -239,16 +259,21 @@ def parse_gcs(text: str) -> Gcs:
         if label not in acts:
             acts.append(label)
         rules.append(TransitionRule(name.text, tuple(clauses), label))
-    return Gcs(vars, consts, tuple(acts), tuple(rules))
+    # without an acts entry, the actions are the rule labels in order of use
+    return Gcs(vars, consts, tuple(acts) if declared is None else declared, tuple(rules))
 
 
 def serialize_gcs(g: Gcs) -> str:
+    """The text form of g; the acts entry is written only when g.acts is not
+    what parse_gcs assumes without it, so files without one stay as they were."""
     lines = [
         "gcs {",
         "  vars: " + ", ".join(g.vars) + ";",
         "  consts: " + ", ".join(str(c) for c in g.consts) + ";",
         "}",
     ]
+    if g.acts != tuple(dict.fromkeys(r.label for r in g.rules)):
+        lines.insert(3, "  acts: " + ", ".join(g.acts) + ";")
     for r in g.rules:
         body = " & ".join(serialize_clause(c) for c in r.clauses)
         lines.append(f"rule {r.name} [{r.label}]: {body};")
@@ -508,7 +533,11 @@ def mg_from_json(doc: dict) -> MonotonicityGraph:
             raise ParseError(f"edge endpoint {x!r} or {y!r} is not a graph node")
         if e["weight"] == "-inf":
             continue
-        wt = POS_INF if e["weight"] == "+inf" else float(int(e["weight"]))
+        if e["weight"] == "+inf":
+            wt = POS_INF
+        else:
+            wt = int(e["weight"])
+            check_exact([wt], len(nodes))
         w[idx[x], idx[y]] = max(w[idx[x], idx[y]], wt)
     return g.with_weights(w)
 

@@ -48,10 +48,6 @@ def is_primed(node: Node) -> bool:
     return isinstance(node, str) and node.endswith("'")
 
 
-def unprime(name: str) -> str:
-    return name[:-1] if name.endswith("'") else name
-
-
 def is_const(node: Node) -> bool:
     return isinstance(node, int)
 
@@ -69,6 +65,15 @@ def _close_stack(ws: np.ndarray, pivots: Iterable[int]) -> None:
     kernel would replace this function."""
     for k in pivots:
         np.fmax(ws, ws[:, :, k : k + 1] + ws[:, k : k + 1, :], out=ws)
+
+
+def check_exact(values: Iterable, n: int) -> None:
+    """Refuse integers too large for float64 weights to stay exact: the
+    magnitude times (n + 1) must not pass 2^53, which leaves room for the
+    path sums of a closure over n nodes."""
+    big = max(map(abs, values), default=0)
+    if big * (n + 1) > 2**53:
+        raise ValueError(f"|{big}| x ({n} nodes + 1) exceeds 2^53, the exact range of weights")
 
 
 # per-universe tables are cached: universes in one run are few while graphs
@@ -91,6 +96,7 @@ def _put_clauses(
                 raise ValueError(f"unknown variable or constant {e!r} in clause {c}")
             flat.append((t * n + i) * n + j)
             ks.append(c.k)
+    check_exact(ks, n)
     if ks:
         np.maximum.at(ws.reshape(-1), flat, np.array(ks, dtype=float))
 
@@ -100,6 +106,7 @@ def _seed(n: int, consts: tuple) -> np.ndarray:
     """The implicit constant-difference edges c ->(c-d) d for every ordered
     pair of distinct constants, the last nodes of an n-node universe;
     -inf elsewhere."""
+    check_exact(consts, n)
     seed = np.full((n, n), NEG_INF)
     c0 = n - len(consts)
     for i, x in enumerate(consts, c0):
@@ -108,6 +115,25 @@ def _seed(n: int, consts: tuple) -> np.ndarray:
                 seed[i, j] = x - y
     seed.setflags(write=False)
     return seed
+
+
+def close_seeded(ws: np.ndarray, consts: tuple) -> np.ndarray:
+    """Seed the constant edges into a writable stack of weight matrices,
+    close it in place over every pivot and return the mask of matrices with
+    no positive cycle on the diagonal (a +inf input entry is not caught)."""
+    np.maximum(ws, _seed(ws.shape[-1], consts), out=ws)
+    with np.errstate(invalid="ignore"):
+        _close_stack(ws, range(ws.shape[-1]))
+    return (ws.diagonal(0, 1, 2) <= 0).all(axis=1)
+
+
+def differences(nodes: Sequence[Node], valuation: Mapping[str, int]) -> np.ndarray:
+    """The matrix of v(x) - v(y) over the nodes, constants standing for
+    themselves; a graph with weights w holds at v iff it is >= w throughout."""
+    vals = [x if is_const(x) else valuation[x] for x in nodes]
+    check_exact(vals, len(nodes))
+    a = np.array(vals, dtype=float)
+    return a[:, None] - a[None, :]
 
 
 @functools.lru_cache(maxsize=_UNIVERSE_CACHE_SIZE)
@@ -211,23 +237,15 @@ class MonotonicityGraph:
 
     # -- core algebra ------------------------------------------------------
 
-    def _seeded(self) -> np.ndarray:
-        """Mutable weight copy with the implicit constant-difference edges
-        c ->(c-d) d seeded for every ordered pair of distinct constants."""
-        return np.maximum(self.w, _seed(self.w.shape[0], self.consts))
-
     def closure(self) -> "MonotonicityGraph":
         """Tightest path-derived weights (all-pairs max-plus), with implicit
         constant-difference edges seeded first and positive cycles promoted
         to +inf.  Idempotent; preserves Sat."""
         if self.closed:
             return self
-        w = self._seeded()
-        with np.errstate(invalid="ignore"):
-            _close_stack(w[None], range(w.shape[0]))
-        diag = np.diagonal(w)
-        pos = diag > 0
-        if pos.any():
+        w = np.array(self.w)
+        if not close_seeded(w[None], self.consts)[0]:
+            pos = np.diagonal(w) > 0
             to_cyc = w[:, pos] > NEG_INF
             from_cyc = w[pos, :] > NEG_INF
             w[(to_cyc[:, :, None] & from_cyc[None, :, :]).any(axis=1)] = POS_INF
@@ -272,12 +290,7 @@ class MonotonicityGraph:
         return self.with_weights(np.maximum(self.w, other.w))
 
     def evaluate(self, valuation: Mapping[str, int]) -> bool:
-        ns = self.nodes()
-        vals = np.array(
-            [x if is_const(x) else valuation[x] for x in ns], dtype=float
-        )
-        diff = vals[:, None] - vals[None, :]
-        return bool((diff >= self.w).all())
+        return bool((differences(self.nodes(), valuation) >= self.w).all())
 
     def norm(self) -> int:
         """Size measure used by runtime metrics: degree plus the largest
@@ -394,12 +407,11 @@ def close_rules(
     sorted and distinct, as in every graph."""
     g = MonotonicityGraph(vars, consts, transitional=True)
     idx = g.index()
-    base = np.array(_seed(len(idx), consts))
+    base = np.full((len(idx), len(idx)), NEG_INF)
     _put_clauses(base[None], idx, [guard])
     ws = np.repeat(base[None], len(rules), axis=0)
     _put_clauses(ws, idx, rules)
-    _close_stack(ws, range(ws.shape[1]))
-    return ws[ws.diagonal(0, 1, 2).max(axis=1) <= 0]
+    return ws[close_seeded(ws, consts)]
 
 
 def compose_batch(
@@ -450,20 +462,3 @@ def canonicalize(m: MonotonicityGraph) -> MonotonicityGraph:
     if np.isposinf(c.w).any():
         raise UnsatisfiableGraphError("cannot canonicalize an unsatisfiable graph")
     return c
-
-
-def basis_clauses(m: MonotonicityGraph) -> list[Clause]:
-    """A clause set with the same satisfying valuations as m, taken from the
-    finite edges of the closure.  Edges between constants and non-positive
-    self-edges are arithmetically valid and carry no constraint."""
-    c = canonicalize(m)
-    ns = c.nodes()
-    out = []
-    for i, x in enumerate(ns):
-        for j, y in enumerate(ns):
-            if i == j or (is_const(x) and is_const(y)):
-                continue
-            wv = c.w[i, j]
-            if NEG_INF < wv:
-                out.append(Clause(x, y, int(wv)))
-    return out

@@ -276,7 +276,10 @@ def differential_run(seed: int, cases: int, *, lo: int = 0, hi: int = 4) -> dict
     mismatches = []
     for case in range(cases):
         g = random_window_closed_gcs(rng, lo, hi)
-        assert window_closed(g, lo, hi).ok
+        cert = window_closed(g, lo, hi)
+        if not cert.ok:
+            # the explicit side would silently drop steps leaving the window
+            raise RuntimeError(f"generated system is not window-closed: {cert.violation}")
         w = WindowGraph(g, lo, hi)
         f = random_formula(rng, g)
         sym = logic.denote(g, f, metrics=metrics).set

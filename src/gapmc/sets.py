@@ -1,28 +1,29 @@
 """Finite unions of monotonicity graphs as first-class sets of valuations.
 
-A SymbolicSet holds an antichain (under the covering order) of satisfiable,
-closed, canonical graphs over a fixed (Var, Const) universe.  The empty
-member list denotes the empty set; a single edgeless graph denotes the set
-of all valuations.  Union, intersection, complement, predecessor and the
-terminating backward-reachability fixpoint are all closed on this class.
+A SymbolicSet holds its members as one (m, n, n) weight stack over a fixed
+(Var, Const) universe.  Invariant: each row is closed and satisfiable, no row
+covers another (an antichain under ⊑), and the rows are sorted by their
+bytes; _normalise establishes it for every operation.  No rows denote the
+empty set; one row without constraints, all valuations.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .mg import (
+    NEG_INF,
     Clause,
     MonotonicityGraph,
     RuleStack,
-    basis_clauses,
     close_rules,
+    close_seeded,
     compose,
     compose_batch,
+    differences,
     from_constraint,
 )
 
@@ -62,41 +63,49 @@ class Metrics:
         return dict(self.__dict__)
 
 
-def _member_sort_key(m: MonotonicityGraph):
-    return m.w.tobytes()
-
-
-def _reduce(graphs: Sequence[MonotonicityGraph]) -> tuple[MonotonicityGraph, ...]:
-    """Drop duplicates and members subsumed by another (antichain under ⊑)."""
-    uniq: list[MonotonicityGraph] = []
-    seen = set()
-    for g in graphs:
-        k = g.key()
-        if k not in seen:
-            seen.add(k)
-            uniq.append(g)
-    kept: list[MonotonicityGraph] = []
-    for g in uniq:
-        # g is redundant if some other member p has p ⊑ g (Sat(p) ⊇ Sat(g));
-        # mutual covering means equal closures, removed by the dedup above
-        if any(p is not g and bool((p.w <= g.w).all()) for p in uniq):
-            continue
-        kept.append(g)
-    kept.sort(key=_member_sort_key)
-    return tuple(kept)
-
-
 @dataclass(frozen=True)
 class SymbolicSet:
+    """The union of the rows of the read-only stack w, under the module's
+    invariant; equality and hashing compare the universe and w's bytes."""
+
     vars: tuple[str, ...]
     consts: tuple[int, ...]
-    members: tuple[MonotonicityGraph, ...]
+    w: np.ndarray = field(compare=False, repr=False)
+    key: bytes = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.w.setflags(write=False)
+        object.__setattr__(self, "key", self.w.tobytes())
+
+    @property
+    def members(self) -> tuple[MonotonicityGraph, ...]:
+        """The rows as closed plain graphs, built anew for the API edge."""
+        return tuple(
+            MonotonicityGraph._make(self.vars, self.consts, False, w, True) for w in self.w
+        )
 
     def is_empty(self) -> bool:
-        return not self.members
+        return len(self.w) == 0
 
     def degree(self) -> int:
         return max((m.degree() for m in self.members), default=0)
+
+
+def _normalise(vars: tuple, consts: tuple, ws, close: bool = True) -> SymbolicSet:
+    """The set of the weight matrices ws, shaped (m, n, n): with close set
+    they are closed first and unsatisfiable rows dropped, otherwise they must
+    be closed and satisfiable already; then duplicate and covered rows go."""
+    n = len(vars) + len(consts)
+    ws = np.asarray(ws, dtype=float).reshape(len(ws), n, n)
+    if close:
+        # a +inf entry is an unsatisfiable clause even where no cycle meets it
+        ws = ws[~np.isposinf(ws).any(axis=(1, 2))]
+        ws = ws[close_seeded(ws, consts)]
+    rows = sorted({w.tobytes(): i for i, w in enumerate(ws)}.items())
+    ws = ws[[i for _, i in rows]]
+    # p ⊑ w (Sat(p) ⊇ Sat(w)) iff p <= w; keep rows covered only by themselves
+    keep = [np.count_nonzero((ws <= w).all(axis=(1, 2))) == 1 for w in ws]
+    return SymbolicSet(vars, consts, ws[np.array(keep, dtype=bool)])
 
 
 def make_set(
@@ -104,18 +113,13 @@ def make_set(
     consts: Iterable[int],
     graphs: Iterable[MonotonicityGraph] = (),
 ) -> SymbolicSet:
-    """Normalize: canonicalize members, prune unsatisfiable ones, reduce to an
-    antichain, sort deterministically."""
+    """The set of the given plain graphs, closed and normalised."""
     vars = tuple(sorted(set(vars)))
     consts = tuple(sorted(set(consts)))
-    kept = []
-    for g in graphs:
-        if g.vars != vars or g.consts != consts or g.transitional:
-            raise ValueError("member graph universe does not match the set's")
-        c = g.closure()
-        if not np.isposinf(c.w).any():
-            kept.append(c)
-    return SymbolicSet(vars, consts, _reduce(kept))
+    graphs = list(graphs)
+    if any(g.vars != vars or g.consts != consts or g.transitional for g in graphs):
+        raise ValueError("member graph universe does not match the set's")
+    return _normalise(vars, consts, [g.w for g in graphs])
 
 
 def empty_set(vars: Iterable[str], consts: Iterable[int]) -> SymbolicSet:
@@ -134,34 +138,39 @@ def atom_set(vars, consts, clauses: Iterable[Clause]) -> SymbolicSet:
 
 def union(s: SymbolicSet, t: SymbolicSet) -> SymbolicSet:
     _check_universe(s, t)
-    return make_set(s.vars, s.consts, s.members + t.members)
+    return _normalise(s.vars, s.consts, np.concatenate((s.w, t.w)), close=False)
 
 
 def intersect_sets(s: SymbolicSet, t: SymbolicSet) -> SymbolicSet:
     _check_universe(s, t)
-    prods = [a.intersect(b) for a in s.members for b in t.members]
-    return make_set(s.vars, s.consts, prods)
+    n = s.w.shape[1]
+    prods = np.maximum(s.w[:, None], t.w[None, :]).reshape(len(s.w) * len(t.w), n, n)
+    return _normalise(s.vars, s.consts, prods)
 
 
 def complement(s: SymbolicSet) -> SymbolicSet:
-    """De Morgan over the members' basis clauses: each clause x-y>=k negates
-    to y-x >= -k+1; the conjunction of per-member disjunctions is distributed
-    back into a union, pruning and reducing after every step."""
+    """De Morgan over the members' constraints: a finite entry w[i, j] = k
+    off the diagonal and off the constant pairs (x_i - x_j >= k) negates to
+    the single edge w[j, i] = 1 - k; the conjunction of per-member unions is
+    distributed back into a union, normalising after every step."""
+    n = s.w.shape[1]
+    const = np.arange(n) >= len(s.vars)
+    free = np.eye(n, dtype=bool) | (const[:, None] & const[None, :])
     result = full_set(s.vars, s.consts)
-    for m in s.members:
-        negs = [
-            from_constraint([c.negated()], s.vars, s.consts, transitional=False)
-            for c in basis_clauses(m)
-        ]
-        member_comp = make_set(s.vars, s.consts, negs)
-        result = intersect_sets(result, member_comp)
+    for w in s.w:
+        i, j = np.nonzero(np.isfinite(w) & ~free)
+        negs = np.full((len(i), n, n), NEG_INF)
+        negs[np.arange(len(i)), j, i] = 1 - w[i, j]
+        result = intersect_sets(result, _normalise(s.vars, s.consts, negs))
         if result.is_empty():
             break
     return result
 
 
 def contains(s: SymbolicSet, valuation: Mapping[str, int]) -> bool:
-    return any(m.evaluate(valuation) for m in s.members)
+    if s.is_empty():
+        return False
+    return bool((differences(s.vars + s.consts, valuation) >= s.w).all(axis=(1, 2)).any())
 
 
 def subset_of(s: SymbolicSet, t: SymbolicSet) -> bool:
@@ -191,13 +200,13 @@ def pre_action(
         raise ValueError(f"unknown action {action!r}")
     rules = transitional_graphs(gcs, guard, (action,))
     out = []
-    for m in s.members:
-        for p in compose_batch(rules, m.w):
+    for mw in s.w:
+        for p in compose_batch(rules, mw):
             if metrics is not None:
                 metrics.saw_graph(p)
             if p is not None:
-                out.append(p)
-    return make_set(s.vars, s.consts, out)
+                out.append(p.w)
+    return _normalise(s.vars, s.consts, out, close=False)
 
 
 def transitional_graphs(
@@ -230,7 +239,7 @@ def pre_star(
     with degree-0 rule graphs never raises the degree and covering is a
     well-order at fixed degree."""
     pool = _pre_star_pool(gcs, s, guard, actions, metrics=metrics, max_pool=max_pool)
-    return make_set(s.vars, s.consts, pool)
+    return _normalise(s.vars, s.consts, pool, close=False)
 
 
 def reaches(
@@ -262,46 +271,37 @@ def _pre_star_pool(gcs, s, guard, actions, *, metrics, max_pool, stop_at=None):
         metrics.constants_magnitude = max((abs(c) for c in s.consts), default=0)
         metrics.constraint_count = len(gcs.rules)
     rules = transitional_graphs(gcs, guard, actions)
-    pool: list[MonotonicityGraph] = list(s.members)
-    work = deque(pool)
-    if stop_at is not None and pool:
-        # m.evaluate(stop_at) for every graph m, with the valuation's
-        # difference matrix computed once
-        vals = np.array([stop_at[x] for x in s.vars] + list(s.consts), dtype=float)
-        diff = vals[:, None] - vals[None, :]
-        if any((diff >= m.w).all() for m in pool):
+    if stop_at is not None and not s.is_empty():
+        diff = differences(s.vars + s.consts, stop_at)
+        if bool((diff >= s.w).all(axis=(1, 2)).any()):
             return True
-    # pool weights stacked (amortized-growth buffer) for a vectorized
-    # covering test
-    dim = (len(s.vars) + len(s.consts),) * 2
-    pool_w = np.empty((max(16, 2 * len(pool)),) + dim)
-    for i, m in enumerate(pool):
-        pool_w[i] = m.w
-    n_pool = len(pool)
-    while work and len(rules):
-        n = work.popleft()
-        for p in compose_batch(rules, n.w):
+    # the pool is an amortized-growth stack, for a vectorized covering test;
+    # its rows from index head on are the worklist, in FIFO order
+    n_pool, head = len(s.w), 0
+    pool = np.empty((max(16, 2 * n_pool),) + s.w.shape[1:])
+    pool[:n_pool] = s.w
+    while head < n_pool and len(rules):
+        head += 1
+        for p in compose_batch(rules, pool[head - 1]):
             if metrics is not None:
                 metrics.saw_graph(p)
             if p is None:
                 continue  # unsatisfiable composition
-            if bool((pool_w[:n_pool] <= p.w).all(axis=(1, 2)).any()):
+            if bool((pool[:n_pool] <= p.w).all(axis=(1, 2)).any()):
                 continue
             if stop_at is not None and (diff >= p.w).all():
                 return True
-            pool.append(p)
-            if n_pool == pool_w.shape[0]:
-                pool_w = np.concatenate([pool_w, np.empty_like(pool_w)])
-            pool_w[n_pool] = p.w
+            if n_pool == pool.shape[0]:
+                pool = np.concatenate([pool, np.empty_like(pool)])
+            pool[n_pool] = p.w
             n_pool += 1
-            work.append(p)
             if metrics is not None:
-                metrics.pool_size = max(metrics.pool_size, len(pool))
-            if max_pool is not None and len(pool) > max_pool:
+                metrics.pool_size = max(metrics.pool_size, n_pool)
+            if max_pool is not None and n_pool > max_pool:
                 raise PoolLimitExceeded(
                     f"reachability pool exceeded the cap of {max_pool} graphs"
                 )
-    return pool
+    return pool[:n_pool]
 
 
 def _check_universe(s: SymbolicSet, t: SymbolicSet) -> None:

@@ -66,6 +66,27 @@ def test_bad_system_file_exit_2(tmp_path, capsys):
     assert main(["check", str(p), "x=0", "true"]) == 2
 
 
+def test_integers_beyond_the_exact_range_exit_2(tmp_path, capsys):
+    p = tmp_path / "big.gcs"
+    p.write_text("gcs {\n  vars: x;\n  consts: 0;\n}\nrule A [a]: x > x' & x' >= 0;\n")
+    # 2^53 + 1 rounds to 2^53 in float64, which once made this print true
+    assert main(["check", str(p), "x=9007199254740992", "x - 0 >= 9007199254740993"]) == 2
+    assert "2^53" in capsys.readouterr().err
+    # over the two nodes x and 0, magnitudes up to 2^53 // 3 are exact
+    ok = 2**53 // 3
+    assert main(["check", str(p), f"x={ok}", f"x - 0 >= {ok}"]) == 0
+    assert main(["check", str(p), f"x={ok - 1}", f"x - 0 >= {ok}"]) == 1
+    assert main(["check", str(p), f"x={ok + 1}", "x - 0 >= 0"]) == 2
+    assert main(["check", str(p), "x=0", f"0 - x >= {-ok - 1}"]) == 2
+
+
+def test_denote_declared_unused_action(tmp_path, capsys):
+    p = tmp_path / "acts.gcs"
+    p.write_text("gcs {\n  vars: x;\n  consts: 0;\n  acts: a, b;\n}\nrule B [b]: x > x';\n")
+    assert main(["denote", str(p), "<a> true"]) == 0
+    assert json.loads(capsys.readouterr().out) == []
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["check", "/nonexistent.gcs", "x=0", "true"]) == 2
 

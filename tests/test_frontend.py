@@ -26,6 +26,7 @@ from gapmc.frontend import (
 )
 from gapmc.logic import AndF, Atom, Diamond, Ef, Eg, Eu, NotF, OrF, TrueF
 from gapmc.mg import Clause, canonicalize, from_constraint
+from gapmc.oracle import random_window_closed_gcs
 from gapmc.sets import make_set, same_set
 
 from conftest import CX_CLAUSES, random_plain_mg
@@ -99,6 +100,24 @@ def test_gcs_round_trips():
     for doc in docs:
         g = parse_gcs(doc)
         assert parse_gcs(serialize_gcs(g)) == g
+        assert "acts:" not in serialize_gcs(g)
+    # declared actions that label no rule, or in another order, survive too
+    rng = random.Random(1)
+    declared = 0
+    for _ in range(3000):
+        g = random_window_closed_gcs(rng)
+        text = serialize_gcs(g)
+        assert parse_gcs(text) == g
+        declared += "acts:" in text
+    assert declared > 500
+
+
+def test_gcs_acts_entry():
+    g = parse_gcs("gcs { vars: x; consts: 0; acts: b, a, c; }\nrule r [a]: x > x';")
+    assert g.acts == ("b", "a", "c")
+    assert serialize_gcs(g).splitlines()[3] == "  acts: b, a, c;"
+    with pytest.raises(ParseError):
+        parse_gcs("gcs { vars: x; acts: a, >; }")
 
 
 def test_gcs_parse_error_has_location():
@@ -230,6 +249,18 @@ def test_mg_json_round_trips_random():
         # re-canonicalizing restores them
         assert canonicalize(mg_from_json(mg_to_json(g))) == g
         done += 1
+
+
+def test_mg_json_weights_beyond_the_exact_range_are_refused():
+    # two nodes: weights up to 2^53 // 3 leave room for every path sum
+    ok = 2**53 // 3
+    for k in (ok, -ok):
+        doc = {"nodes": ["x", 0], "edges": [{"from": "x", "to": 0, "weight": k}]}
+        assert mg_from_json(doc).weight("x", 0) == k
+    for k in (ok + 1, -ok - 1):
+        doc = {"nodes": ["x", 0], "edges": [{"from": "x", "to": 0, "weight": k}]}
+        with pytest.raises(ValueError, match="2\\^53"):
+            mg_from_json(doc)
 
 
 def test_mg_json_plus_inf_and_minus_inf_tokens():

@@ -418,6 +418,25 @@ def test_evaluate_examples():
     assert not unsat_graph(VARS, CONSTS).evaluate({"x": 0, "y": 0})
 
 
+def test_integers_beyond_the_exact_range_are_refused():
+    # over x and one constant (2 nodes), magnitudes up to 2^53 // 3 are exact
+    ok = 2**53 // 3
+    g = mg([Clause("x", 0, ok)], vars=("x",))
+    assert g.evaluate({"x": ok}) and not g.evaluate({"x": ok - 1})
+    assert MonotonicityGraph(("x",), (-ok,)).closure().is_satisfiable()
+    for bad in (ok + 1, -ok - 1):
+        with pytest.raises(ValueError, match="2\\^53"):
+            mg([Clause("x", 0, bad)], vars=("x",))
+        with pytest.raises(ValueError, match="2\\^53"):
+            g.evaluate({"x": bad})
+        with pytest.raises(ValueError, match="2\\^53"):
+            MonotonicityGraph(("x",), (bad,)).closure()
+    # a rule stack has 2 + 1 nodes over x, x' and 0: the bound is 2^53 // 4
+    with pytest.raises(ValueError, match="2\\^53"):
+        close_rules(("x",), (0,), [[Clause("x", "x'", 2**53 // 4 + 1)]])
+    assert len(close_rules(("x",), (0,), [[Clause("x", "x'", 2**53 // 4)]])) == 1
+
+
 # -- canonicalize ----------------------------------------------------------------------
 
 

@@ -102,6 +102,16 @@ def test_differential_run_small():
     assert report["cases"] == 25
 
 
+def test_differential_run_refuses_a_system_that_is_not_window_closed(monkeypatch):
+    # the explicit side would silently drop the steps that leave the window
+    from gapmc import oracle
+
+    open_system = Gcs(("x",), (0, 4), ("a",), (TransitionRule("r", (), "a"),))
+    monkeypatch.setattr(oracle, "random_window_closed_gcs", lambda rng, lo, hi: open_system)
+    with pytest.raises(RuntimeError, match="not window-closed"):
+        differential_run(1, 1)
+
+
 def test_differential_run_deterministic():
     r1 = differential_run(7, 5)
     r2 = differential_run(7, 5)

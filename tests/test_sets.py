@@ -3,10 +3,11 @@
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from gapmc import logic
-from gapmc.mg import Clause, compose, covers, from_constraint
+from gapmc.mg import NEG_INF, POS_INF, Clause, compose, covers, from_constraint
 from gapmc.reductions import BAnd, BNot, BOr, BVar, Qbf, qbf_to_gcs
 from gapmc.sets import (
     GuardError,
@@ -62,6 +63,73 @@ def test_make_set_rejects_foreign_universe():
 def test_full_and_empty():
     assert empty_set(VARS, CONSTS).is_empty()
     assert len(full_set(VARS, CONSTS).members) == 1
+
+
+def _reference_normalise(graphs) -> list[bytes]:
+    """The per-graph route of a normalised set: close each graph, drop those
+    with a +inf weight, dedupe by bytes, drop every graph that another
+    covers (pairwise) and sort by bytes."""
+    ws = [g.closure().w for g in graphs]
+    ws = list({w.tobytes(): w for w in ws if not np.isposinf(w).any()}.values())
+    kept = [w for w in ws if not any(p is not w and (p <= w).all() for p in ws)]
+    return sorted(w.tobytes() for w in kept)
+
+
+def _random_universe(rng):
+    return ("x", "y", "z")[: rng.randint(1, 3)], tuple(sorted(rng.sample(range(-2, 5), 2)))
+
+
+def test_make_set_matches_per_graph_reference():
+    rng = random.Random(41)
+    covered = plus_inf = 0
+    for i in range(300):
+        vars, consts = _random_universe(rng)
+        graphs = [random_plain_mg(rng, vars, consts) for _ in range(rng.randint(0, 5))]
+        if graphs and i % 3 == 0:
+            graphs.append(rng.choice(graphs))  # a duplicate
+        if len(graphs) > 1 and i % 4 == 0:
+            graphs.append(graphs[0].intersect(graphs[1]))  # covered by both
+        if graphs and i % 5 == 0:
+            # a +inf entry that no cycle reaches: only the +inf filter drops it
+            w = np.full(graphs[0].w.shape, NEG_INF)
+            w[0, -1] = POS_INF
+            graphs.append(graphs[0].with_weights(w))
+            plus_inf += 1
+        got = make_set(vars, consts, graphs)
+        expect = _reference_normalise(graphs)
+        assert [m.w.tobytes() for m in got.members] == expect
+        closed = [g.closure().w for g in graphs]
+        covered += len(expect) < len({w.tobytes() for w in closed if not np.isposinf(w).any()})
+    assert covered > 50 and plus_inf > 30
+    assert make_set(VARS, CONSTS, []).members == ()
+
+
+def test_complement_matches_per_clause_reference():
+    """complement against the route through each member's basis clauses:
+    one graph per negated clause, normalised per member, then the running
+    intersection normalised after every member."""
+    rng = random.Random(43)
+    for _ in range(150):
+        vars, consts = _random_universe(rng)
+        s = make_set(vars, consts, [random_plain_mg(rng, vars, consts) for _ in range(3)])
+        full = full_set(vars, consts).members[0]
+        expect = [full.w.tobytes()]
+        for m in s.members:
+            ns = m.nodes()
+            basis = [
+                Clause(x, y, int(m.w[i, j]))
+                for i, x in enumerate(ns)
+                for j, y in enumerate(ns)
+                if i != j and not (isinstance(x, int) and isinstance(y, int))
+                and np.isfinite(m.w[i, j])
+            ]
+            negs = [from_constraint([c.negated()], vars, consts, transitional=False) for c in basis]
+            rows = [np.frombuffer(b).reshape(m.w.shape) for b in expect]
+            comp = [np.frombuffer(b).reshape(m.w.shape) for b in _reference_normalise(negs)]
+            expect = _reference_normalise(
+                full.with_weights(np.maximum(a, b)) for a in rows for b in comp
+            )
+        assert [m.w.tobytes() for m in complement(s).members] == expect
 
 
 # -- union ---------------------------------------------------------------------
