@@ -196,6 +196,8 @@ def equiv_check(
     max_pool=None,
 ) -> bool:
     """Is the GCS state v (strongly/weakly) bisimilar to LTS state s?"""
+    if s not in l.states:
+        raise ValueError(f"unknown LTS state {s!r}")
     observable = {a for (_, a, _) in l.transitions if not (mode == "weak" and a == tau)}
     if not observable <= set(g.acts):
         raise ValueError(

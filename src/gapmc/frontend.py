@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -80,8 +79,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "num" | "name" | "op" | "eof"
     text: str
     line: int
@@ -90,24 +88,24 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     out = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind != "ws":
-            out.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
+    line, line_start, pos = 1, 0, 0  # line_start: offset of the line's first character
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:
+            break  # the search skipped a character no lexeme starts with
         pos = m.end()
-    out.append(Token("eof", "", line, col))
+        kind = m.lastgroup
+        if kind != "ws":
+            out.append(Token(kind, m.group(), line, start - line_start + 1))
+            continue
+        # only whitespace and comments can hold a newline
+        last = text.rfind("\n", start, pos)
+        if last >= 0:
+            line += text.count("\n", start, pos)
+            line_start = last + 1
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    out.append(Token("eof", "", line, pos - line_start + 1))
     return out
 
 
@@ -491,6 +489,22 @@ def serialize_lts(l: FiniteLts) -> str:
 
 
 # -- JSON for graphs and sets -------------------------------------------------
+#
+# A graph is {"nodes": [...], "edges": [{"from", "to", "weight"}, ...]} with
+# the nodes in canonical order and the edges in row-major order over them; a
+# set is an array of its members' graphs.  dump_set is the stable text form.
+
+
+def _kept_edges(ws: np.ndarray, nodes: Sequence[Node]) -> np.ndarray:
+    """The mask of the entries of the (m, n, n) stack ws over the nodes that
+    JSON writes.  -inf entries, valid edges between two constants
+    (w <= c - d) and non-positive self-edges carry no information: an entry
+    is kept when it lies strictly above that floor."""
+    const = np.array([is_const(x) for x in nodes], dtype=bool)
+    c = np.array([x if is_const(x) else 0 for x in nodes], dtype=float)
+    floor = np.where(const[:, None] & const[None, :], c[:, None] - c[None, :], NEG_INF)
+    np.fill_diagonal(floor, 0)
+    return ws > floor
 
 
 def _weight_to_json(w: float):
@@ -499,27 +513,46 @@ def _weight_to_json(w: float):
     return int(w)
 
 
+def _graphs_json(ws: np.ndarray, nodes: Sequence[Node]) -> list[dict]:
+    """One JSON graph per matrix of the stack ws over the nodes."""
+    out = []
+    for w, keep in zip(ws, _kept_edges(ws, nodes)):
+        i, j = np.nonzero(keep)
+        edges = [
+            {"from": nodes[a], "to": nodes[b], "weight": _weight_to_json(x)}
+            for a, b, x in zip(i.tolist(), j.tolist(), w[keep].tolist())
+        ]
+        out.append({"nodes": list(nodes), "edges": edges})
+    return out
+
+
 def mg_to_json(m: MonotonicityGraph) -> dict:
     """Nodes plus finite/+inf edges; -inf edges are omitted.  Valid edges
     between two constants and non-positive self-edges carry no information
     and are dropped."""
-    ns = m.nodes()
-    edges = []
-    for i, x in enumerate(ns):
-        for j, y in enumerate(ns):
-            w = m.w[i, j]
-            if w == NEG_INF:
-                continue
-            if is_const(x) and is_const(y) and w <= x - y:
-                continue
-            if i == j and w <= 0:
-                continue
-            edges.append({"from": x, "to": y, "weight": _weight_to_json(w)})
-    return {"nodes": list(ns), "edges": edges}
+    return _graphs_json(m.w[None], m.nodes())[0]
+
+
+def _json_int(x, what: str) -> int:
+    """An integer read from JSON; a fractional number is refused, not truncated."""
+    try:
+        k = int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"bad {what} {x!r}") from None
+    if isinstance(x, float) and k != x:
+        raise ParseError(f"bad {what} {x!r}")
+    return k
+
+
+def _json_node(x) -> Node:
+    return x if isinstance(x, str) else _json_int(x, "graph node")
 
 
 def mg_from_json(doc: dict) -> MonotonicityGraph:
-    nodes = [n if isinstance(n, str) else int(n) for n in doc["nodes"]]
+    if not (isinstance(doc, dict) and isinstance(doc.get("nodes"), list)
+            and isinstance(doc.get("edges", []), list)):
+        raise ParseError('a graph must be an object with a "nodes" list and an "edges" list')
+    nodes = [_json_node(n) for n in doc["nodes"]]
     vars = tuple(n for n in nodes if isinstance(n, str) and not is_primed(n))
     consts = tuple(n for n in nodes if is_const(n))
     transitional = any(is_primed(n) for n in nodes)
@@ -527,8 +560,9 @@ def mg_from_json(doc: dict) -> MonotonicityGraph:
     idx = g.index()
     w = np.full(g.w.shape, NEG_INF)
     for e in doc.get("edges", []):
-        x = e["from"] if isinstance(e["from"], str) else int(e["from"])
-        y = e["to"] if isinstance(e["to"], str) else int(e["to"])
+        if not (isinstance(e, dict) and {"from", "to", "weight"} <= e.keys()):
+            raise ParseError(f'an edge must be an object with "from", "to" and "weight": {e!r}')
+        x, y = _json_node(e["from"]), _json_node(e["to"])
         if x not in idx or y not in idx:
             raise ParseError(f"edge endpoint {x!r} or {y!r} is not a graph node")
         if e["weight"] == "-inf":
@@ -536,14 +570,14 @@ def mg_from_json(doc: dict) -> MonotonicityGraph:
         if e["weight"] == "+inf":
             wt = POS_INF
         else:
-            wt = int(e["weight"])
+            wt = _json_int(e["weight"], "edge weight")
             check_exact([wt], len(nodes))
         w[idx[x], idx[y]] = max(w[idx[x], idx[y]], wt)
     return g.with_weights(w)
 
 
 def set_to_json(s: SymbolicSet) -> list:
-    return [mg_to_json(m) for m in s.members]
+    return _graphs_json(s.w, s.vars + s.consts)
 
 
 def set_from_json(
@@ -553,6 +587,8 @@ def set_from_json(
 ) -> SymbolicSet:
     """A symbolic set from a JSON array of graphs; the universe is taken from
     the graphs unless given explicitly (required for the empty set)."""
+    if not isinstance(doc, list):
+        raise ParseError("a symbolic set must be a JSON array of graphs")
     members = [mg_from_json(d) for d in doc]
     if vars is None or consts is None:
         if not members:
@@ -562,7 +598,35 @@ def set_from_json(
 
 
 def dump_set(s: SymbolicSet) -> str:
-    return json.dumps(set_to_json(s), indent=2)
+    """The text of json.dumps(set_to_json(s), indent=2), written straight
+    from the stack: the node list and the head of every (from, to) edge are
+    built once, and only the kept weights are formatted one by one."""
+    if not len(s.w):
+        return "[]"
+    nodes = s.vars + s.consts
+    n = len(nodes)
+    lits = [json.dumps(x) for x in nodes]
+    node_list = '"nodes": [\n      ' + ",\n      ".join(lits) + "\n    ]" if lits else '"nodes": []'
+    heads = [
+        f'      {{\n        "from": {a},\n        "to": {b},\n        "weight": '
+        for a in lits
+        for b in lits
+    ]
+    keep = _kept_edges(s.w, nodes)
+    _, pair = np.nonzero(keep.reshape(len(s.w), n * n))
+    edges = [
+        heads[k] + ('"+inf"' if x == POS_INF else str(int(x))) + "\n      }"
+        for k, x in zip(pair.tolist(), s.w[keep].tolist())
+    ]
+    members, start = [], 0
+    for stop in np.cumsum(keep.sum(axis=(1, 2))).tolist():
+        if stop == start:
+            edge_list = '"edges": []'
+        else:
+            edge_list = '"edges": [\n' + ",\n".join(edges[start:stop]) + "\n    ]"
+        members.append("  {\n    " + node_list + ",\n    " + edge_list + "\n  }")
+        start = stop
+    return "[\n" + ",\n".join(members) + "\n]"
 
 
 # -- QBF text ------------------------------------------------------------------

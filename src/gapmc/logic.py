@@ -241,6 +241,7 @@ def check(
 ) -> bool:
     """Does valuation v satisfy f?  A top-level EF is answered by the
     early-stopping reachability query instead of the full fixpoint."""
+    sets.check_valuation(g.vars, v)  # before any fixpoint work
     metrics = metrics if metrics is not None else Metrics()
     metrics.nesting_depth = max(metrics.nesting_depth, nesting_depth(f))
     if isinstance(f, Ef):

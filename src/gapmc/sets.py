@@ -167,7 +167,19 @@ def complement(s: SymbolicSet) -> SymbolicSet:
     return result
 
 
+def check_valuation(vars: Iterable[str], valuation: Mapping[str, int]) -> None:
+    """Refuse a valuation that does not assign exactly the given variables."""
+    vars = set(vars)
+    missing = sorted(vars - set(valuation))
+    if missing:
+        raise ValueError(f"the valuation gives no value to: {', '.join(missing)}")
+    extra = sorted(set(valuation) - vars)
+    if extra:
+        raise ValueError(f"the valuation assigns unknown variables: {', '.join(extra)}")
+
+
 def contains(s: SymbolicSet, valuation: Mapping[str, int]) -> bool:
+    check_valuation(s.vars, valuation)
     if s.is_empty():
         return False
     return bool((differences(s.vars + s.consts, valuation) >= s.w).all(axis=(1, 2)).any())
@@ -255,6 +267,7 @@ def reaches(
     """Membership of one valuation in pre_star(s), stopping as soon as some
     explored predecessor graph witnesses it (every pool graph denotes a
     subset of the reachability set, so an early hit is sound)."""
+    check_valuation(s.vars, valuation)
     return _pre_star_pool(
         gcs, s, guard, actions, metrics=metrics, max_pool=max_pool, stop_at=valuation
     ) is True

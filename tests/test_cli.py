@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, output channels."""
 
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -167,3 +170,100 @@ def test_oracle_diff(capsys):
     assert main(["oracle", "diff", "--seed", "3", "--cases", "5"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["mismatches"] == []
+
+
+# -- stable output and inputs refused with exit 2 --------------------------------
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def test_denote_output_matches_golden_files(system_file, tmp_path, capsys):
+    # the golden files hold the stdout of earlier releases, byte for byte
+    for formula, golden in (("<a> true", "denote_countdown_diamond_a.json"),
+                            ("x = 0 & y = 0", "denote_countdown_origin.json")):
+        assert main(["denote", system_file, formula]) == 0
+        assert capsys.readouterr().out == (DATA / golden).read_text()
+    out = tmp_path / "inst"
+    assert main(["gen-qbf", "A x E y : (x & y) | (!x & !y)", "--out", str(out)]) == 0
+    capsys.readouterr()
+    target = (out / "target.ef").read_text().strip()
+    assert main(["denote", str(out / "instance.gcs"), target]) == 0
+    assert capsys.readouterr().out == (DATA / "denote_qbf_readme.json").read_text()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "{sys}", "x=1", "y >= 0"], "no value to: y"),
+    (["check", "{sys}", "x=1", "EF (y >= 0)"], "no value to: y"),
+    (["check", "{sys}", "x=1", "y >= 0 & !(y >= 0)"], "no value to: y"),
+    (["check", "{sys}", "x=1, y=0, z=4", "y >= 0"], "unknown variables: z"),
+    (["bisim", "{sys}", "x=1", "{dir}/loop.lts", "s"], "no value to: y"),
+    (["bisim", "{sys}", "x=1, y=0", "{dir}/loop.lts", "nowhere"], "unknown LTS state"),
+    (["prestar", "{sys}", "{dir}/no_weight.json"], '"weight"'),
+    (["prestar", "{sys}", "{dir}/object.json"], "JSON array"),
+    (["prestar", "{sys}", "{dir}/bad_node.json"], "bad graph node"),
+    (["prestar", "{sys}", "{dir}/bad_weight.json"], "bad edge weight"),
+    (["prestar", "{sys}", "{dir}/fractional_weight.json"], "bad edge weight 2.5"),
+])
+def test_bad_inputs_exit_2_without_a_traceback(argv, message, system_file, tmp_path, capsys):
+    (tmp_path / "loop.lts").write_text("s -a-> s\n")
+    edge = {"from": "x", "to": 0}
+    docs = {
+        "no_weight.json": [{"nodes": ["x", "y", 0], "edges": [edge]}],
+        "object.json": {"a": 1},
+        "bad_node.json": [{"nodes": ["x", "y", None], "edges": []}],
+        "bad_weight.json": [{"nodes": ["x", "y", 0], "edges": [dict(edge, weight=[1])]}],
+        # x - 0 >= 2.5 holds for x >= 3: truncating to 2 would change the set
+        "fractional_weight.json": [{"nodes": ["x", "y", 0], "edges": [dict(edge, weight=2.5)]}],
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [a.format(sys=system_file, dir=tmp_path) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "Traceback" not in captured.err
+
+
+# -- the README's quick start, command by command --------------------------------
+
+# every command of the README's quick-start block, with its documented exit code
+QUICK_START_EXITS = {
+    'gapmc check countdown.gcs "x=3, y=1" "EF (x = 0 & y = 0)"': 0,
+    'gapmc denote countdown.gcs "<a> true"': 0,
+    'gapmc denote countdown.gcs "x = 0 & y = 0" > target.json': 0,
+    "gapmc prestar countdown.gcs target.json --actions a,b": 0,
+    "printf 's -a-> s\\n' > loop.lts": None,
+    'gapmc bisim countdown.gcs "x=1, y=0" loop.lts s --mode strong': 1,
+    'gapmc gen-qbf "A x E y : (x & y) | (!x & !y)" --out inst/': 0,
+    'gapmc check inst/instance.gcs "$(cat inst/initial.val)" "$(cat inst/target.ef)"': 0,
+    "gapmc oracle diff --seed 1 --cases 100": 0,
+}
+
+
+def _readme_block(readme: str, after: str, lang: str) -> str:
+    start = readme.index("```" + lang + "\n", readme.index(after)) + len(lang) + 4
+    return readme[start:readme.index("```", start)]
+
+
+def test_readme_quick_start_commands(tmp_path, monkeypatch, capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("countdown.gcs").write_text(_readme_block(readme, "## Quick start", "text"))
+    commands = [ln for ln in _readme_block(readme, "Primed variables", "sh").splitlines()
+                if ln and not ln.startswith("#")]
+    assert commands == list(QUICK_START_EXITS)
+    for command, code in QUICK_START_EXITS.items():
+        command = re.sub(r"\$\(cat ([^)]+)\)",
+                         lambda m: pathlib.Path(m.group(1)).read_text().strip(), command)
+        words, target = shlex.split(command), None
+        if words[-2] == ">":
+            words, target = words[:-2], words[-1]
+        if words[0] == "printf":
+            pathlib.Path(target).write_text(words[1].replace("\\n", "\n"))
+            continue
+        assert words[0] == "gapmc"
+        assert main(words[1:]) == code, command
+        out = capsys.readouterr().out
+        if target:
+            pathlib.Path(target).write_text(out)

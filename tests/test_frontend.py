@@ -23,13 +23,14 @@ from gapmc.frontend import (
     serialize_valuation,
     set_from_json,
     set_to_json,
+    tokenize,
 )
 from gapmc.logic import AndF, Atom, Diamond, Ef, Eg, Eu, NotF, OrF, TrueF
-from gapmc.mg import Clause, canonicalize, from_constraint
+from gapmc.mg import NEG_INF, POS_INF, Clause, canonicalize, from_constraint, is_const
 from gapmc.oracle import random_window_closed_gcs
-from gapmc.sets import make_set, same_set
+from gapmc.sets import SymbolicSet, empty_set, full_set, make_set, same_set
 
-from conftest import CX_CLAUSES, random_plain_mg
+from conftest import CX_CLAUSES, random_plain_mg, random_transitional_mg
 
 COUNTDOWN_TEXT = """
 # a lossy countdown
@@ -118,6 +119,26 @@ def test_gcs_acts_entry():
     assert serialize_gcs(g).splitlines()[3] == "  acts: b, a, c;"
     with pytest.raises(ParseError):
         parse_gcs("gcs { vars: x; acts: a, >; }")
+
+
+def test_tokenizer_lines_and_columns():
+    text = "gcs {\n  vars: x;  # a comment: x'\n\tconsts: -3;\n}\nrule R [a]: x > x' @ 1;\n"
+    with pytest.raises(ParseError) as e:
+        tokenize(text)
+    assert (e.value.line, e.value.col) == (5, 20)
+    assert str(e.value) == "unexpected character '@' at line 5, column 20"
+    tokens = tokenize(text.replace("@ 1", "& x' >= -3"))
+    assert [tuple(t) for t in tokens] == [
+        ("name", "gcs", 1, 1), ("op", "{", 1, 5),
+        ("name", "vars", 2, 3), ("op", ":", 2, 7), ("name", "x", 2, 9), ("op", ";", 2, 10),
+        ("name", "consts", 3, 2), ("op", ":", 3, 8), ("num", "-3", 3, 10), ("op", ";", 3, 12),
+        ("op", "}", 4, 1),
+        ("name", "rule", 5, 1), ("name", "R", 5, 6), ("op", "[", 5, 8), ("name", "a", 5, 9),
+        ("op", "]", 5, 10), ("op", ":", 5, 11), ("name", "x", 5, 13), ("op", ">", 5, 15),
+        ("name", "x'", 5, 17), ("op", "&", 5, 20), ("name", "x'", 5, 22), ("op", ">=", 5, 25),
+        ("num", "-3", 5, 28), ("op", ";", 5, 30),
+        ("eof", "", 6, 1),
+    ]
 
 
 def test_gcs_parse_error_has_location():
@@ -269,6 +290,55 @@ def test_mg_json_plus_inf_and_minus_inf_tokens():
     assert any(e["weight"] == "+inf" for e in doc["edges"])
     doc["edges"].append({"from": "x", "to": "y", "weight": "-inf"})
     assert mg_from_json(doc).weight("x", "x") == float("inf")
+
+
+def _mg_json_reference(m):
+    """mg_to_json entry by entry, as the format defines it."""
+    ns = m.nodes()
+    edges = []
+    for i, x in enumerate(ns):
+        for j, y in enumerate(ns):
+            w = m.w[i, j]
+            if w == NEG_INF:
+                continue
+            if is_const(x) and is_const(y) and w <= x - y:
+                continue
+            if i == j and w <= 0:
+                continue
+            weight = "+inf" if w == POS_INF else int(w)
+            edges.append({"from": x, "to": y, "weight": weight})
+    return {"nodes": list(ns), "edges": edges}
+
+
+def test_mg_json_matches_per_entry_reference():
+    rng = random.Random(78)
+    for _ in range(60):
+        g = random_transitional_mg(rng, consts=(-2, 0, 3), positive=False)
+        for h in (g, g.closure()):
+            assert mg_to_json(h) == _mg_json_reference(h)
+    inf = from_constraint([Clause("x", "y", 1), Clause("y", "x", 0)], ("x", "y"), (0,)).closure()
+    assert any(e["weight"] == "+inf" for e in mg_to_json(inf)["edges"])
+    assert mg_to_json(inf) == _mg_json_reference(inf)
+
+
+def test_dump_set_is_json_dumps_with_indent_2():
+    rng = random.Random(79)
+    universes = [(("x", "y"), (0,)), (("x", "y"), (-2, 0, 3)), (("a", "b", "c"), (-5,)),
+                 (("p", "q"), ()), ((), (-1, 4))]
+    sets = [empty_set(("x", "y"), (0,)), full_set(("x", "y"), (0,)), full_set((), ()),
+            full_set((), (1, 2)), empty_set((), ())]
+    for vars, consts in universes:
+        for _ in range(30):
+            graphs = [random_plain_mg(rng, vars, consts) for _ in range(rng.randint(0, 4))]
+            sets.append(make_set(vars, consts, graphs))
+    # the text form does not rely on the set invariant: +inf prints as in a graph
+    inf = from_constraint([Clause("x", "y", 1), Clause("y", "x", 0)], ("x", "y"), (0,)).closure()
+    sets.append(SymbolicSet(("x", "y"), (0,), inf.w[None].copy()))
+    assert any(len(s.w) > 1 for s in sets)
+    for s in sets:
+        text = dump_set(s)
+        assert text == json.dumps(set_to_json(s), indent=2)
+        assert set_to_json(s) == [_mg_json_reference(m) for m in s.members]
 
 
 def test_set_json_round_trip_and_determinism():
