@@ -283,7 +283,10 @@ def serialize_gcs(g: Gcs) -> str:
 
 def parse_formula(text: str) -> Formula:
     ts = _Stream(tokenize(text))
-    f = _parse_or(ts)
+    try:
+        f = _parse_or(ts)
+    except RecursionError:  # the descent takes a few frames per nesting level
+        raise ParseError("the formula nests too deeply to parse") from None
     if ts.peek().kind != "eof":
         ts.fail(f"trailing input {ts.peek().text!r}")
     return f

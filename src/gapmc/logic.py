@@ -3,19 +3,22 @@
 Formulas are immutable trees whose atoms are gap clauses.  Denotations are
 symbolic sets computed structurally: atoms and ``true`` directly, negation by
 complement, conjunction by intersection, ⟨a⟩ by one predecessor step and EF
-by the backward-reachability fixpoint.  EG and E..U nodes exist so that input
-can be parsed and rejected with a clear diagnostic: their model checking
-problem over gap-order systems is undecidable.
+by the backward-reachability fixpoint.  Each call hash-conses its formula
+first (Filliâtre & Conchon, "Type-safe modular hash-consing", 2006), so a
+subformula that occurs many times, as in characteristic formulas, is
+evaluated once.  EG and E..U nodes exist so that input can be parsed and
+rejected with a clear diagnostic: their model checking problem over
+gap-order systems is undecidable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from . import sets
 from .gcs import Gcs
-from .mg import Clause
+from .mg import Clause, RuleStack
 from .sets import Metrics, SymbolicSet
 
 
@@ -24,7 +27,9 @@ class UndecidableFormulaError(ValueError):
 
 
 class Formula:
-    """Base class; subclasses are frozen dataclasses, hashable for memoization."""
+    """Base class; subclasses are frozen dataclasses.  Their equality and
+    hash are structural and recurse through every subformula, so evaluation
+    does not use them: denote and check intern the formula first."""
 
     __slots__ = ()
 
@@ -124,31 +129,47 @@ def and_all(fs: list[Formula]) -> Formula:
     return out
 
 
+# the subformula fields of each node type, left to right, and the others
+_OPERANDS = {
+    Atom: (), TrueF: (), NotF: ("f",), AndF: ("left", "right"), OrF: ("left", "right"),
+    Diamond: ("f",), Ef: ("f",), Eg: ("f",), Eu: ("left", "right"),
+}
+_LEAVES = {t: tuple(k for k in t.__dataclass_fields__ if k not in ops) for t, ops in _OPERANDS.items()}
+
+
+def _subformulas(f: Formula) -> list[Formula]:
+    names = _OPERANDS.get(type(f))
+    if names is None:
+        raise TypeError(f"not a formula: {f!r}")
+    return [getattr(f, k) for k in names]
+
+
+def _postorder(f: Formula, children=_subformulas) -> list[Formula]:
+    """The node objects reachable from f through ``children``, each once,
+    every node after its children; an explicit stack, so any depth works."""
+    seen, order, stack = set(), [], [f]
+    while stack:
+        node = stack.pop()
+        if node is None:  # every child of the node below is done
+            order.append(stack.pop())
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack += (node, None)
+            stack += reversed(children(node))
+    return order
+
+
 def nesting_depth(f: Formula) -> int:
     """Maximum count of negation/modal operators along any path; the measure
     reported in metrics (one fixed definition, recorded here: every NotF,
     Diamond and Ef node counts one level).  Each node object of the formula
     DAG is visited once: characteristic formulas share subformulas, and are
     far larger as trees."""
-    memo: dict[int, int] = {}
-
-    def depth(f: Formula) -> int:
-        d = memo.get(id(f))
-        if d is None:
-            if isinstance(f, (Atom, TrueF)):
-                d = 0
-            elif isinstance(f, (AndF, OrF)):
-                d = max(depth(f.left), depth(f.right))
-            elif isinstance(f, (NotF, Diamond, Ef, Eg)):
-                d = 1 + depth(f.f)
-            elif isinstance(f, Eu):
-                d = 1 + max(depth(f.left), depth(f.right))
-            else:
-                raise TypeError(f"not a formula: {f!r}")
-            memo[id(f)] = d
-        return d
-
-    return depth(f)
+    depth: dict[int, int] = {}
+    for node in _postorder(f):
+        below = max([depth[id(c)] for c in _subformulas(node)], default=0)
+        depth[id(node)] = below + isinstance(node, (NotF, Diamond, Ef, Eg, Eu))
+    return depth[id(f)]
 
 
 @dataclass
@@ -158,6 +179,84 @@ class Denotation:
     metrics: Metrics = field(default_factory=Metrics)
 
 
+class _Evaluation:
+    """One denote or check call of formula f over system g.  f is interned
+    into root: structurally equal nodes become one object, so denotations
+    are memoised on node identity, and each (guard, action set) closes its
+    rule stack once.  root refers to every interned node, which keeps each
+    id used as a key valid for the call; nothing is shared between calls."""
+
+    def __init__(self, g: Gcs, f: Formula, metrics: Optional[Metrics], max_pool):
+        self.g, self.max_pool = g, max_pool
+        self.metrics = metrics = metrics if metrics is not None else Metrics()
+        self.vars, self.consts = tuple(sorted(g.vars)), tuple(sorted(g.consts))
+        self.conj: set[int] = set()  # interned conjunctions of atoms only
+        self.stacks: dict[tuple, RuleStack] = {}
+        self.root = self.intern(f)
+        metrics.nesting_depth = max(metrics.nesting_depth, nesting_depth(self.root))
+
+    def intern(self, f: Formula) -> Formula:
+        """The interned copy of f; EG and E..U are refused before any work."""
+        nodes: dict[tuple, Formula] = {}  # structural key -> interned node
+        canon: dict[int, Formula] = {}  # id(node of f) -> interned node
+        for node in _postorder(f):
+            t = type(node)
+            if t is Eg or t is Eu:
+                raise UndecidableFormulaError(
+                    f"{'EG' if t is Eg else 'E..U'} model checking over gap-order "
+                    "constraint systems is undecidable; only the EF fragment is supported"
+                )
+            ops = {k: canon[id(getattr(node, k))] for k in _OPERANDS[t]}
+            key = (t, *map(id, ops.values()), *[getattr(node, k) for k in _LEAVES[t]])
+            c = nodes.get(key)
+            if c is None:
+                same = all(v is getattr(node, k) for k, v in ops.items())
+                c = nodes[key] = node if same else replace(node, **ops)
+                if t is AndF and all(type(x) is Atom or id(x) in self.conj for x in ops.values()):
+                    self.conj.add(id(c))
+            canon[id(node)] = c
+        return canon[id(f)]
+
+    def rules(self, guard, actions) -> RuleStack:
+        key = (tuple(guard), None if actions is None else frozenset(actions))
+        if key not in self.stacks:
+            self.stacks[key] = sets.transitional_graphs(self.g, guard, actions)
+        return self.stacks[key]
+
+    def denote(self, f: Formula) -> SymbolicSet:
+        """The set of interned f, each node evaluated once, operands first; a
+        conjunction of atoms is one graph, closed once, so its operands are
+        not evaluated on its behalf."""
+        memo: dict[int, SymbolicSet] = {}
+        operands = lambda n: () if id(n) in self.conj else _subformulas(n)
+        for node in _postorder(f, operands):
+            memo[id(node)] = self._step(node, lambda x: memo[id(x)])
+        return memo[id(f)]
+
+    def _step(self, f: Formula, d) -> SymbolicSet:
+        g, vars, consts = self.g, self.vars, self.consts
+        if isinstance(f, Atom):
+            return sets.atom_set(vars, consts, [f.clause])
+        if id(f) in self.conj:
+            return sets.atom_set(vars, consts, [a.clause for a in _postorder(f) if type(a) is Atom])
+        if isinstance(f, TrueF):
+            return sets.full_set(vars, consts)
+        if isinstance(f, NotF):
+            return sets.complement(d(f.f))
+        if isinstance(f, AndF):
+            return sets.intersect_sets(d(f.left), d(f.right))
+        if isinstance(f, OrF):
+            return sets.union(d(f.left), d(f.right))
+        if isinstance(f, Diamond):
+            rules = self.rules(f.guard, (f.action,))
+            return sets.pre_action(g, f.action, d(f.f), f.guard, self.metrics, rules=rules)
+        # Ef: interning refused EG and E..U, _subformulas any other type
+        return sets.pre_star(
+            g, d(f.f), f.guard, f.actions, metrics=self.metrics,
+            max_pool=self.max_pool, rules=self.rules(f.guard, f.actions),
+        )
+
+
 def denote(
     g: Gcs,
     f: Formula,
@@ -165,70 +264,10 @@ def denote(
     metrics: Optional[Metrics] = None,
     max_pool: Optional[int] = None,
 ) -> Denotation:
-    """The set of valuations satisfying f, by structural recursion with
-    memoization of structurally equal subformulas."""
-    metrics = metrics if metrics is not None else Metrics()
-    metrics.nesting_depth = max(metrics.nesting_depth, nesting_depth(f))
-    return Denotation(_denote(g, f, {}, metrics, max_pool), f, metrics)
-
-
-def _atom_clauses(f: Formula) -> Optional[list[Clause]]:
-    """The clauses of f if f is a conjunction of atoms, else None."""
-    if isinstance(f, Atom):
-        return [f.clause]
-    if isinstance(f, AndF):
-        left = _atom_clauses(f.left)
-        right = None if left is None else _atom_clauses(f.right)
-        if right is not None:
-            return left + right
-    return None
-
-
-def _denote(g, f, memo, metrics, max_pool) -> SymbolicSet:
-    hit = memo.get(f)
-    if hit is not None:
-        return hit
-    vars, consts = tuple(sorted(g.vars)), tuple(sorted(g.consts))
-    if isinstance(f, Atom):
-        result = sets.atom_set(vars, consts, [f.clause])
-    elif isinstance(f, TrueF):
-        result = sets.full_set(vars, consts)
-    elif isinstance(f, NotF):
-        result = sets.complement(_denote(g, f.f, memo, metrics, max_pool))
-    elif isinstance(f, AndF):
-        clauses = _atom_clauses(f)
-        if clauses is not None:
-            # a conjunction of atoms is one graph, closed once
-            result = sets.atom_set(vars, consts, clauses)
-        else:
-            result = sets.intersect_sets(
-                _denote(g, f.left, memo, metrics, max_pool),
-                _denote(g, f.right, memo, metrics, max_pool),
-            )
-    elif isinstance(f, OrF):
-        result = sets.union(
-            _denote(g, f.left, memo, metrics, max_pool),
-            _denote(g, f.right, memo, metrics, max_pool),
-        )
-    elif isinstance(f, Diamond):
-        result = sets.pre_action(
-            g, f.action, _denote(g, f.f, memo, metrics, max_pool), f.guard, metrics
-        )
-    elif isinstance(f, Ef):
-        inner = _denote(g, f.f, memo, metrics, max_pool)
-        result = sets.pre_star(
-            g, inner, f.guard, f.actions, metrics=metrics, max_pool=max_pool
-        )
-    elif isinstance(f, (Eg, Eu)):
-        kind = "EG" if isinstance(f, Eg) else "E..U"
-        raise UndecidableFormulaError(
-            f"{kind} model checking over gap-order constraint systems is "
-            "undecidable; only the EF fragment is supported"
-        )
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[f] = result
-    return result
+    """The set of valuations satisfying f, by bottom-up evaluation of its
+    structurally distinct subformulas, each once (see _Evaluation)."""
+    ev = _Evaluation(g, f, metrics, max_pool)
+    return Denotation(ev.denote(ev.root), f, ev.metrics)
 
 
 def check(
@@ -242,11 +281,11 @@ def check(
     """Does valuation v satisfy f?  A top-level EF is answered by the
     early-stopping reachability query instead of the full fixpoint."""
     sets.check_valuation(g.vars, v)  # before any fixpoint work
-    metrics = metrics if metrics is not None else Metrics()
-    metrics.nesting_depth = max(metrics.nesting_depth, nesting_depth(f))
-    if isinstance(f, Ef):
-        inner = _denote(g, f.f, {}, metrics, max_pool)
+    ev = _Evaluation(g, f, metrics, max_pool)
+    root = ev.root
+    if isinstance(root, Ef):
         return sets.reaches(
-            g, dict(v), inner, f.guard, f.actions, metrics=metrics, max_pool=max_pool
+            g, dict(v), ev.denote(root.f), root.guard, root.actions, metrics=ev.metrics,
+            max_pool=max_pool, rules=ev.rules(root.guard, root.actions),
         )
-    return sets.contains(_denote(g, f, {}, metrics, max_pool), dict(v))
+    return sets.contains(ev.denote(root), dict(v))

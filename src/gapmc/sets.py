@@ -205,12 +205,15 @@ def pre_action(
     s: SymbolicSet,
     guard: Sequence[Clause] = (),
     metrics: Optional[Metrics] = None,
+    rules: Optional[RuleStack] = None,
 ) -> SymbolicSet:
     """Predecessors of s over all rules carrying the given action label, each
-    step also satisfying the guard (which may hold non-positive clauses)."""
+    step also satisfying the guard (which may hold non-positive clauses).
+    ``rules``, if given, must be transitional_graphs(gcs, guard, (action,))."""
     if action not in gcs.acts:
         raise ValueError(f"unknown action {action!r}")
-    rules = transitional_graphs(gcs, guard, (action,))
+    if rules is None:
+        rules = transitional_graphs(gcs, guard, (action,))
     out = []
     for mw in s.w:
         for p in compose_batch(rules, mw):
@@ -243,14 +246,16 @@ def pre_star(
     *,
     metrics: Optional[Metrics] = None,
     max_pool: Optional[int] = None,
+    rules: Optional[RuleStack] = None,
 ) -> SymbolicSet:
     """All valuations that can reach Sat(s), using only transitions whose
     label is in ``actions`` (default: all), each step additionally satisfying
-    ``guard``.  Worklist exploration of predecessor graphs, pruning any new
+    ``guard``; ``rules``, if given, must be transitional_graphs(gcs, guard,
+    actions).  Worklist exploration of predecessor graphs, pruning any new
     graph already covered by a pool member; terminates because composition
     with degree-0 rule graphs never raises the degree and covering is a
     well-order at fixed degree."""
-    pool = _pre_star_pool(gcs, s, guard, actions, metrics=metrics, max_pool=max_pool)
+    pool = _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules)
     return _normalise(s.vars, s.consts, pool, close=False)
 
 
@@ -263,17 +268,16 @@ def reaches(
     *,
     metrics: Optional[Metrics] = None,
     max_pool: Optional[int] = None,
+    rules: Optional[RuleStack] = None,
 ) -> bool:
     """Membership of one valuation in pre_star(s), stopping as soon as some
     explored predecessor graph witnesses it (every pool graph denotes a
     subset of the reachability set, so an early hit is sound)."""
     check_valuation(s.vars, valuation)
-    return _pre_star_pool(
-        gcs, s, guard, actions, metrics=metrics, max_pool=max_pool, stop_at=valuation
-    ) is True
+    return _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, valuation) is True
 
 
-def _pre_star_pool(gcs, s, guard, actions, *, metrics, max_pool, stop_at=None):
+def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=None):
     """The explored pool of pre_star, or True as soon as a pool graph is
     satisfied by the valuation ``stop_at``."""
     for c in guard:
@@ -283,7 +287,8 @@ def _pre_star_pool(gcs, s, guard, actions, *, metrics, max_pool, stop_at=None):
         metrics.dimension = (len(s.vars) + len(s.consts)) ** 2
         metrics.constants_magnitude = max((abs(c) for c in s.consts), default=0)
         metrics.constraint_count = len(gcs.rules)
-    rules = transitional_graphs(gcs, guard, actions)
+    if rules is None:
+        rules = transitional_graphs(gcs, guard, actions)
     if stop_at is not None and not s.is_empty():
         diff = differences(s.vars + s.consts, stop_at)
         if bool((diff >= s.w).all(axis=(1, 2)).any()):

@@ -225,6 +225,41 @@ def test_bad_inputs_exit_2_without_a_traceback(argv, message, system_file, tmp_p
     assert "Traceback" not in captured.err
 
 
+def test_long_flat_formulas_get_a_verdict(system_file, capsys):
+    # evaluation walks formulas without recursion: a 3000-atom conjunction
+    # and a 2000-atom disjunction under EF are answered like short ones
+    assert main(["denote", system_file, " & ".join(["x >= 0"] * 3000)]) == 0
+    out = capsys.readouterr().out
+    assert main(["denote", system_file, "x >= 0"]) == 0
+    assert capsys.readouterr().out == out
+    wide = "EF (" + " | ".join(f"x - 0 >= {k}" for k in range(2000)) + ")"
+    assert main(["check", system_file, "x=3, y=1", wide]) == 0
+    assert main(["check", system_file, "x=-1, y=0", wide]) == 1
+    assert capsys.readouterr().out.split() == ["true", "false"]
+
+
+@pytest.mark.parametrize("formula", [
+    "!" * 3000 + "true",
+    "EF " * 3000 + "(x >= 0)",
+    "(" * 3000 + "x >= 0" + ")" * 3000,
+], ids=["not", "ef", "parentheses"])
+def test_too_deeply_nested_formulas_exit_2_without_a_traceback(formula, system_file, capsys):
+    for argv in (["denote", system_file, formula], ["check", system_file, "x=1, y=0", formula]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "nests too deeply" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_nesting_accepted_by_the_parser_is_evaluated(system_file, capsys):
+    # the deepest unary nesting the parser takes must not fail later on;
+    # 400 levels is well within the parser's reach under pytest
+    for formula in ("!" * 400 + "(x >= 0)", "<a> " * 400 + "true", "EF " * 400 + "(x >= 0)"):
+        assert main(["check", system_file, "x=1, y=0", formula]) in (0, 1)
+        assert capsys.readouterr().out.strip() in ("true", "false")
+
+
 # -- the README's quick start, command by command --------------------------------
 
 # every command of the README's quick-start block, with its documented exit code

@@ -1,10 +1,12 @@
 """Formula evaluation: denotations, semantic laws, fragment boundaries."""
 
+import gc
 import random
 
 import pytest
 
-from gapmc import sets
+from gapmc import oracle, sets
+from gapmc.bisim import FiniteLts, characteristic_formula
 from gapmc.logic import (
     AndF,
     Atom,
@@ -250,3 +252,112 @@ def test_memoization_shares_subformulas(countdown):
     denote(countdown, Ef(f), metrics=m2)
     # three occurrences cost the same exploration as one
     assert m1.graphs_created == m2.graphs_created
+
+
+# -- sharing: each distinct subformula once, one rule stack per (guard, actions) --
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_distinct_subformula_is_evaluated_once(countdown, monkeypatch):
+    def copy():  # a new object on every call, structurally always the same
+        return Ef(NotF(Diamond("a", Atom(Clause("x", 0, 1)))))
+
+    chain = Atom(Clause("y", 0, 0))
+    for _ in range(12):  # each level uses the one below twice: 2**12 paths
+        chain = NotF(AndF(Diamond("b", chain), Ef(chain)))
+    twice = AndF(OrF(copy(), chain), AndF(copy(), chain))
+    assert twice.left.left is not twice.right.left
+    calls = _count_calls(monkeypatch, sets, ("complement", "pre_star", "pre_action"))
+    m_twice = Metrics()
+    got = denote(countdown, twice, metrics=m_twice).set
+    # one NotF, Diamond and Ef in each of the 12 levels and in the copy
+    assert calls == {"complement": 13, "pre_star": 13, "pre_action": 13}
+    one = copy()
+    m_once = Metrics()
+    assert denote(countdown, AndF(OrF(one, chain), AndF(one, chain)), metrics=m_once).set == got
+    assert m_once == m_twice
+
+
+def test_nodes_that_differ_in_one_field_are_evaluated_apart(countdown):
+    x = Atom(Clause(0, "x", 0))
+    parts = [
+        Diamond("a", x), Diamond("b", x),
+        Diamond("a", x, (Clause("y'", "y", 1),)), Diamond("b", x, (Clause("x", "x'", 0),)),
+        Ef(x), Ef(x, actions=()), Ef(x, actions=("a",)), Ef(x, (Clause("x", "x'", 0),)),
+    ]
+    alone = [denote(countdown, p).set for p in parts]
+    assert len({s.key for s in alone}) == len(parts)  # all different sets
+    for i, p in enumerate(parts):
+        for j, q in enumerate(parts):
+            both = denote(countdown, AndF(p, q)).set
+            assert both == sets.intersect_sets(alone[i], alone[j])
+
+
+def _rule_stack_keys(f):
+    """The distinct (guard, action set) of the Diamond and EF nodes of f."""
+    keys, todo = set(), [f]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, Diamond):
+            keys.add((n.guard, frozenset((n.action,))))
+        if isinstance(n, Ef):
+            keys.add((n.guard, None if n.actions is None else frozenset(n.actions)))
+        todo += [getattr(n, k) for k in ("f", "left", "right") if hasattr(n, k)]
+    return keys
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_one_rule_stack_per_guard_and_action_set(countdown, monkeypatch, mode):
+    acts = ("a", "b") + (("tau",) if mode == "weak" else ())
+    trans = {("p", "a", "q"), ("q", "b", "r"), ("r", "a", "p"), ("p", "b", "p")}
+    if mode == "weak":
+        trans.add(("q", "tau", "p"))
+    lts = FiniteLts(("p", "q", "r"), acts, frozenset(trans))
+    theta = characteristic_formula(lts, "p", mode, alphabet=acts)
+    keys = _rule_stack_keys(theta)
+    assert len(keys) == len(acts) + 1  # one per action, and AG over all rules
+    calls = _count_calls(monkeypatch, sets, ("close_rules",))
+    for v in ({"x": 1, "y": 0}, {"x": 0, "y": 2}):
+        calls["close_rules"] = 0
+        check(countdown, v, theta)
+        assert calls["close_rules"] == len(keys)
+
+
+def test_diamond_and_ef_share_a_rule_stack_and_no_actions_is_not_all(countdown, monkeypatch):
+    x = Atom(Clause("x", 0, 1))
+    calls = _count_calls(monkeypatch, sets, ("close_rules",))
+    denote(countdown, AndF(Diamond("a", x), Ef(x, actions=("a",))))
+    assert calls["close_rules"] == 1
+    # EF over no action is f itself, EF over every action is not
+    d = denote(countdown, OrF(Ef(x, actions=()), Ef(x))).set
+    assert calls["close_rules"] == 3
+    assert d == denote(countdown, Ef(x)).set
+    assert denote(countdown, Ef(x, actions=())).set == denote(countdown, x).set
+
+
+def test_no_state_outlives_a_call():
+    # a cache keyed on id() that outlived a call would answer for a later
+    # system, allocated where a freed one was, with the freed one's results
+    def case(seed):
+        rng = random.Random(seed)
+        g = oracle.random_window_closed_gcs(rng)
+        return g, oracle.random_formula(rng, g), random_valuation(rng, g.vars, 0, 4)
+
+    cases = [case(seed) for seed in range(40)]  # all alive: no address reused
+    expect = [(denote(g, f).set, check(g, v, Ef(f))) for g, f, v in cases]
+    del cases
+    for seed in range(40):
+        g, f, v = case(seed)
+        assert (denote(g, f).set, check(g, v, Ef(f))) == expect[seed], seed
+        del g, f, v
+        gc.collect()

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import gapmc
@@ -15,3 +16,23 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_function_the_benchmark_traces_exists():
+    # bench/run.py --trace 1 wraps these by name; a renamed or removed
+    # function would silently drop out of the per-layer report
+    spans = Path(__file__).parents[1] / "bench" / "spans.py"
+    table = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["FUNCTIONS"]
+    )
+    missing = []
+    for module_name, names in table.items():
+        module = importlib.import_module("gapmc." + module_name)
+        for name in names:
+            # spans wraps mg.closure on the graph class, the others on their module
+            owner = module.MonotonicityGraph if (module_name, name) == ("mg", "closure") else module
+            if not callable(getattr(owner, name, None)):
+                missing.append(f"{module_name}.{name}")
+    assert table and missing == []
