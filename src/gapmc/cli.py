@@ -106,8 +106,10 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_gen_qbf(args) -> int:
-    q = parse_qbf(args.qbf)
-    g, v0, f = reductions.qbf_to_gcs(q)
+    try:  # the parser and the reduction recurse once per operator
+        g, v0, f = reductions.qbf_to_gcs(parse_qbf(args.qbf))
+    except RecursionError:
+        raise ParseError("the QBF nests too deeply to translate") from None
     os.makedirs(args.out, exist_ok=True)
     paths = {
         "instance.gcs": serialize_gcs(g),

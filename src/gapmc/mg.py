@@ -8,7 +8,9 @@ positive total weight) makes the graph unsatisfiable.
 
 Node universe and ordering are canonical: unprimed variables sorted by name,
 then their primed copies (for transitional graphs), then constants sorted by
-value.  All operations are pure; graphs are never mutated after construction.
+value (``layout``); ``clause_stack`` builds weight matrices in that order, and
+the engine works on those arrays, not on graph objects.  All operations are
+pure; graphs are never mutated after construction.
 """
 
 from __future__ import annotations
@@ -76,17 +78,25 @@ def check_exact(values: Iterable, n: int) -> None:
         raise ValueError(f"|{big}| x ({n} nodes + 1) exceeds 2^53, the exact range of weights")
 
 
-# per-universe tables are cached: universes in one run are few while graphs
-# number in the thousands; the bound keeps a long-lived process from growing
-_UNIVERSE_CACHE_SIZE = 64
+def layout(vars: Sequence[str], consts: Sequence[int], transitional: bool = False) -> list[Node]:
+    """The node order of a universe, for canonical (sorted, distinct) vars
+    and consts: the variables, then their primed copies if transitional,
+    then the constants."""
+    return [*vars, *(map(prime, vars) if transitional else ()), *consts]
 
 
-def _put_clauses(
-    ws: np.ndarray, idx: Mapping[Node, int], clause_sets: Iterable[Iterable[Clause]]
-) -> None:
-    """Raise ws[t, left, right] to the offset of every clause of the t-th
-    clause set, in place; ws is a fresh contiguous stack of matrices."""
-    n = ws.shape[-1]
+def clause_stack(
+    vars: Sequence[str],
+    consts: Sequence[int],
+    clause_sets: Sequence[Iterable[Clause]],
+    transitional: bool = False,
+) -> np.ndarray:
+    """The (len(clause_sets), n, n) weight matrices of the clause sets over
+    layout(vars, consts, transitional): each entry the largest offset that a
+    clause of its set demands for that pair, -inf where none does."""
+    idx = {x: i for i, x in enumerate(layout(vars, consts, transitional))}
+    n = len(idx)
+    ws = np.full((len(clause_sets), n, n), NEG_INF)
     flat, ks = [], []
     for t, clauses in enumerate(clause_sets):
         for c in clauses:
@@ -99,6 +109,12 @@ def _put_clauses(
     check_exact(ks, n)
     if ks:
         np.maximum.at(ws.reshape(-1), flat, np.array(ks, dtype=float))
+    return ws
+
+
+# per-universe tables are cached: universes in one run are few while graphs
+# number in the thousands; the bound keeps a long-lived process from growing
+_UNIVERSE_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=_UNIVERSE_CACHE_SIZE)
@@ -145,10 +161,22 @@ def _constraint_entries(n: int, n_consts: int) -> np.ndarray:
     return np.flatnonzero(~(const[:, None] & const[None, :]))
 
 
+def degree_norm(w: np.ndarray, n_consts: int) -> tuple[int, int]:
+    """(degree, norm) of one weight matrix whose last n_consts nodes are
+    constants, in one pass over its constraint entries (see degree(), norm())."""
+    w = w.take(_constraint_entries(w.shape[0], n_consts))
+    finite = w[np.isfinite(w)]
+    if finite.size == 0:
+        return 0, 0
+    mn = finite.min()
+    degree = int(-mn) if mn < 0 else 0
+    return degree, degree + int(max(finite.max(), 0)) + 1
+
+
 class MonotonicityGraph:
     """Immutable weighted digraph over Var (∪ Var') ∪ Const."""
 
-    __slots__ = ("vars", "consts", "transitional", "w", "closed", "_nodes")
+    __slots__ = ("vars", "consts", "transitional", "w", "closed")
 
     def __init__(
         self,
@@ -161,7 +189,6 @@ class MonotonicityGraph:
         self.vars = tuple(sorted(set(vars)))
         self.consts = tuple(sorted(set(consts)))
         self.transitional = transitional
-        self._nodes = None
         n = len(self.nodes())
         if w is None:
             w = np.full((n, n), NEG_INF)
@@ -171,28 +198,8 @@ class MonotonicityGraph:
         self.w.setflags(write=False)
         self.closed = closed
 
-    @classmethod
-    def _make(cls, vars, consts, transitional, w, closed) -> "MonotonicityGraph":
-        """Internal fast path: vars/consts must already be canonical tuples
-        and w the matching freshly allocated matrix."""
-        self = object.__new__(cls)
-        self.vars = vars
-        self.consts = consts
-        self.transitional = transitional
-        self._nodes = None
-        self.w = w
-        w.setflags(write=False)
-        self.closed = closed
-        return self
-
     def nodes(self) -> list[Node]:
-        if self._nodes is None:
-            ns: list[Node] = list(self.vars)
-            if self.transitional:
-                ns += [prime(v) for v in self.vars]
-            ns += list(self.consts)
-            self._nodes = ns
-        return self._nodes
+        return layout(self.vars, self.consts, self.transitional)
 
     def index(self) -> dict[Node, int]:
         return {n: i for i, n in enumerate(self.nodes())}
@@ -213,24 +220,6 @@ class MonotonicityGraph:
         return out
 
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_clauses(
-        cls,
-        clauses: Iterable[Clause],
-        vars: Iterable[str],
-        consts: Iterable[int],
-        transitional: Optional[bool] = None,
-    ) -> "MonotonicityGraph":
-        clauses = list(clauses)
-        if transitional is None:
-            transitional = any(
-                is_primed(c.left) or is_primed(c.right) for c in clauses
-            )
-        g = cls(vars, consts, transitional)
-        w = np.full(g.w.shape, NEG_INF)
-        _put_clauses(w[None], g.index(), [clauses])
-        return cls(g.vars, g.consts, transitional, w)
 
     def with_weights(self, w: np.ndarray, closed: bool = False) -> "MonotonicityGraph":
         return MonotonicityGraph(self.vars, self.consts, self.transitional, w, closed)
@@ -257,17 +246,7 @@ class MonotonicityGraph:
     def degree(self) -> int:
         """Magnitude of the most negative finite edge weight.  Edges between
         two constants are arithmetic facts, not constraints, and are ignored."""
-        return self.stats()[0]
-
-    def stats(self) -> tuple[int, int]:
-        """(degree, norm) in one pass over the constraint entries."""
-        w = self.w.take(_constraint_entries(self.w.shape[0], len(self.consts)))
-        finite = w[np.isfinite(w)]
-        if finite.size == 0:
-            return 0, 0
-        mn = finite.min()
-        degree = int(-mn) if mn < 0 else 0
-        return degree, degree + int(max(finite.max(), 0)) + 1
+        return degree_norm(self.w, len(self.consts))[0]
 
     def restrict(self, keep: Iterable[str]) -> "MonotonicityGraph":
         """Maximal subgraph over ``keep`` ∪ Const (primed nodes dropped)."""
@@ -295,7 +274,7 @@ class MonotonicityGraph:
     def norm(self) -> int:
         """Size measure used by runtime metrics: degree plus the largest
         non-negative finite weight plus one; 0 for an edgeless graph."""
-        return self.stats()[1]
+        return degree_norm(self.w, len(self.consts))[1]
 
     # -- identity ----------------------------------------------------------
 
@@ -323,8 +302,14 @@ def from_constraint(
     transitional: Optional[bool] = None,
 ) -> MonotonicityGraph:
     """The unique MG of a gap constraint: one edge per constrained pair,
-    weight = the largest offset demanded for that pair."""
-    return MonotonicityGraph.from_clauses(clauses, vars, consts, transitional)
+    weight = the largest offset demanded for that pair; transitional by
+    default iff some clause names a primed variable."""
+    clauses = list(clauses)
+    if transitional is None:
+        transitional = any(is_primed(c.left) or is_primed(c.right) for c in clauses)
+    vars, consts = tuple(sorted(set(vars))), tuple(sorted(set(consts)))
+    w = clause_stack(vars, consts, [clauses], transitional)[0]
+    return MonotonicityGraph(vars, consts, transitional, w)
 
 
 def covers(n: MonotonicityGraph, m: MonotonicityGraph) -> bool:
@@ -405,20 +390,16 @@ def close_rules(
     clauses intersected with the guard's, built as one stack and closed in
     one batched pass; unsatisfiable rules are dropped.  vars and consts are
     sorted and distinct, as in every graph."""
-    g = MonotonicityGraph(vars, consts, transitional=True)
-    idx = g.index()
-    base = np.full((len(idx), len(idx)), NEG_INF)
-    _put_clauses(base[None], idx, [guard])
-    ws = np.repeat(base[None], len(rules), axis=0)
-    _put_clauses(ws, idx, rules)
+    base = clause_stack(vars, consts, [guard], True)
+    ws = clause_stack(vars, consts, rules, True)
+    np.maximum(ws, base, out=ws)
     return ws[close_seeded(ws, consts)]
 
 
-def compose_batch(
-    rules: RuleStack, mw: np.ndarray
-) -> list[Optional[MonotonicityGraph]]:
-    """compose(g, m) for every graph g of the stack and a closed satisfiable
-    plain member m with weights mw; unsatisfiable results come back as None.
+def compose_batch(rules: RuleStack, mw: np.ndarray) -> list[Optional[np.ndarray]]:
+    """The weights of compose(g, m) for every graph g of the stack and a
+    closed satisfiable plain member m with weights mw; unsatisfiable results
+    come back as None.
 
     Pairs where some primed variable's bounds against the first constant
     conflict are rejected before any closure.  The others are closed
@@ -427,7 +408,7 @@ def compose_batch(
     one rule edge, and in a closed graph the edges to and from any constant
     are exact shifts of those of the first.  A positive cycle therefore
     shows on the diagonal after these pivots, which is tested once."""
-    out: list[Optional[MonotonicityGraph]] = [None] * len(rules)
+    out: list[Optional[np.ndarray]] = [None] * len(rules)
     if rules._neg_bounds is None:
         idx = np.arange(len(rules))
     else:
@@ -444,7 +425,7 @@ def compose_batch(
     proj = ws.reshape(len(idx), -1).take(rules._proj, axis=1).reshape(-1, m, m)
     for t, s, pw in zip(idx.tolist(), sat.tolist(), proj):
         if s:
-            out[t] = MonotonicityGraph._make(rules.vars, rules.consts, False, pw, True)
+            out[t] = pw
     return out
 
 

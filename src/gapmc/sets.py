@@ -19,12 +19,14 @@ from .mg import (
     Clause,
     MonotonicityGraph,
     RuleStack,
+    clause_stack,
     close_rules,
     close_seeded,
     compose,
     compose_batch,
+    degree_norm,
     differences,
-    from_constraint,
+    layout,
 )
 
 
@@ -49,13 +51,13 @@ class Metrics:
     constraint_count: int = 0
     nesting_depth: int = 0
 
-    def saw_graph(self, g: Optional[MonotonicityGraph]) -> None:
-        """Count one composition result: a graph, or None when the
-        composition is unsatisfiable (which carries no sizes)."""
+    def saw_graph(self, w: Optional[np.ndarray], n_consts: int) -> None:
+        """Count one composition result: its weight matrix, whose last
+        n_consts nodes are constants, or None if it is unsatisfiable."""
         self.graphs_created += 1
-        if g is None:
+        if w is None:
             return
-        degree, norm = g.stats()
+        degree, norm = degree_norm(w, n_consts)
         self.max_norm = max(self.max_norm, norm)
         self.degree_bound = max(self.degree_bound, degree)
 
@@ -81,14 +83,14 @@ class SymbolicSet:
     def members(self) -> tuple[MonotonicityGraph, ...]:
         """The rows as closed plain graphs, built anew for the API edge."""
         return tuple(
-            MonotonicityGraph._make(self.vars, self.consts, False, w, True) for w in self.w
+            MonotonicityGraph(self.vars, self.consts, False, w, closed=True) for w in self.w
         )
 
     def is_empty(self) -> bool:
         return len(self.w) == 0
 
     def degree(self) -> int:
-        return max((m.degree() for m in self.members), default=0)
+        return max((degree_norm(w, len(self.consts))[0] for w in self.w), default=0)
 
 
 def _normalise(vars: tuple, consts: tuple, ws, close: bool = True) -> SymbolicSet:
@@ -127,13 +129,13 @@ def empty_set(vars: Iterable[str], consts: Iterable[int]) -> SymbolicSet:
 
 
 def full_set(vars: Iterable[str], consts: Iterable[int]) -> SymbolicSet:
-    vars, consts = tuple(sorted(set(vars))), tuple(sorted(set(consts)))
-    return make_set(vars, consts, [MonotonicityGraph(vars, consts)])
+    return atom_set(vars, consts, ())
 
 
 def atom_set(vars, consts, clauses: Iterable[Clause]) -> SymbolicSet:
     """The set of valuations satisfying a conjunction of gap clauses."""
-    return make_set(vars, consts, [from_constraint(clauses, vars, consts, transitional=False)])
+    vars, consts = tuple(sorted(set(vars))), tuple(sorted(set(consts)))
+    return _normalise(vars, consts, clause_stack(vars, consts, [clauses]))
 
 
 def union(s: SymbolicSet, t: SymbolicSet) -> SymbolicSet:
@@ -182,7 +184,8 @@ def contains(s: SymbolicSet, valuation: Mapping[str, int]) -> bool:
     check_valuation(s.vars, valuation)
     if s.is_empty():
         return False
-    return bool((differences(s.vars + s.consts, valuation) >= s.w).all(axis=(1, 2)).any())
+    diff = differences(layout(s.vars, s.consts), valuation)
+    return bool((diff >= s.w).all(axis=(1, 2)).any())
 
 
 def subset_of(s: SymbolicSet, t: SymbolicSet) -> bool:
@@ -216,11 +219,11 @@ def pre_action(
         rules = transitional_graphs(gcs, guard, (action,))
     out = []
     for mw in s.w:
-        for p in compose_batch(rules, mw):
+        for pw in compose_batch(rules, mw):
             if metrics is not None:
-                metrics.saw_graph(p)
-            if p is not None:
-                out.append(p.w)
+                metrics.saw_graph(pw, len(s.consts))
+            if pw is not None:
+                out.append(pw)
     return _normalise(s.vars, s.consts, out, close=False)
 
 
@@ -290,7 +293,7 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
     if rules is None:
         rules = transitional_graphs(gcs, guard, actions)
     if stop_at is not None and not s.is_empty():
-        diff = differences(s.vars + s.consts, stop_at)
+        diff = differences(layout(s.vars, s.consts), stop_at)
         if bool((diff >= s.w).all(axis=(1, 2)).any()):
             return True
     # the pool is an amortized-growth stack, for a vectorized covering test;
@@ -300,18 +303,18 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
     pool[:n_pool] = s.w
     while head < n_pool and len(rules):
         head += 1
-        for p in compose_batch(rules, pool[head - 1]):
+        for pw in compose_batch(rules, pool[head - 1]):
             if metrics is not None:
-                metrics.saw_graph(p)
-            if p is None:
+                metrics.saw_graph(pw, len(s.consts))
+            if pw is None:
                 continue  # unsatisfiable composition
-            if bool((pool[:n_pool] <= p.w).all(axis=(1, 2)).any()):
+            if bool((pool[:n_pool] <= pw).all(axis=(1, 2)).any()):
                 continue
-            if stop_at is not None and (diff >= p.w).all():
+            if stop_at is not None and (diff >= pw).all():
                 return True
             if n_pool == pool.shape[0]:
                 pool = np.concatenate([pool, np.empty_like(pool)])
-            pool[n_pool] = p.w
+            pool[n_pool] = pw
             n_pool += 1
             if metrics is not None:
                 metrics.pool_size = max(metrics.pool_size, n_pool)

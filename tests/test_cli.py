@@ -41,11 +41,18 @@ def test_check_false_exit_code(system_file, capsys):
 
 
 def test_check_metrics_on_stderr(system_file, capsys):
-    assert main(["check", system_file, "x=3, y=1", "--metrics", "EF (x = 0 & y = 0)"]) == 0
-    captured = capsys.readouterr()
-    m = json.loads(captured.err.strip().splitlines()[-1])
-    assert m["graphs_created"] > 0
-    assert m["nesting_depth"] >= 1
+    # the early stop counts the compositions up to and including the hit,
+    # not the rest of the batch that holds it
+    common = {"degree_bound": 0, "constants_magnitude": 0, "dimension": 9,
+              "constraint_count": 2, "nesting_depth": 1}
+    for valuation, counted in (
+        ("x=3, y=1", {"graphs_created": 4, "pool_size": 3, "max_norm": 3}),
+        ("x=1, y=0", {"graphs_created": 1, "pool_size": 0, "max_norm": 2}),
+    ):
+        assert main(["check", system_file, valuation, "--metrics", "EF (x = 0 & y = 0)"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "true\n"
+        assert json.loads(captured.err) == {**counted, **common}
 
 
 def test_check_eg_is_rejected(system_file, capsys):
@@ -164,6 +171,18 @@ def test_gen_qbf_round_trip(tmp_path, capsys):
         (out / "target.ef").read_text().strip(),
     ])
     assert code == 0  # the QBF is true
+
+
+@pytest.mark.parametrize(
+    "matrix", [" & ".join(["x"] * 3000), " | ".join(["x"] * 3000), "!" * 3000 + "x"],
+    ids=["and-chain", "or-chain", "negations"],
+)
+def test_gen_qbf_deep_matrix_exits_2_without_a_traceback(matrix, tmp_path, capsys):
+    assert main(["gen-qbf", "A x : " + matrix, "--out", str(tmp_path / "inst")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "nests too deeply" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_oracle_diff(capsys):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from gapmc import oracle, sets
-from gapmc.bisim import FiniteLts, characteristic_formula
+from gapmc.bisim import FiniteLts, characteristic_formula, equiv_check
 from gapmc.logic import (
     AndF,
     Atom,
@@ -25,7 +25,7 @@ from gapmc.logic import (
     false_,
     nesting_depth,
 )
-from gapmc.mg import Clause
+from gapmc.mg import Clause, MonotonicityGraph
 from gapmc.sets import Metrics, atom_set, contains, full_set, same_set, subset_of, union
 
 from conftest import random_plain_mg, random_valuation
@@ -361,3 +361,23 @@ def test_no_state_outlives_a_call():
         assert (denote(g, f).set, check(g, v, Ef(f))) == expect[seed], seed
         del g, f, v
         gc.collect()
+
+
+def test_the_engine_builds_no_graph_object(countdown, monkeypatch):
+    # the engine works on weight stacks; graph objects are for the API edge
+    built = []
+    init = MonotonicityGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MonotonicityGraph, "__init__", counted)
+    f = AndF(NotF(Atom(Clause("x", 0, 2))), OrF(Diamond("a", Ef(XY_ZERO)), Diamond("b", TrueF())))
+    assert not denote(countdown, f).set.is_empty()
+    assert check(countdown, {"x": 3, "y": 1}, Ef(XY_ZERO))
+    loop = FiniteLts(("s", "t"), ("a", "b"),
+                     frozenset({("s", "a", "s"), ("s", "b", "t"), ("t", "b", "s")}))
+    for mode in ("strong", "weak"):
+        equiv_check(countdown, {"x": 1, "y": 0}, loop, "s", mode=mode)
+    assert built == []

@@ -353,9 +353,7 @@ def test_compose_batch_matches_compose(vars, consts):
                     assert p is None
                     results["unsat"] += 1
                 else:
-                    assert p is not None and p.closed and not p.transitional
-                    assert (p.vars, p.consts) == (vars, consts)
-                    assert p.w.tobytes() == ref.w.tobytes()
+                    assert p is not None and p.tobytes() == ref.w.tobytes()
                     results["sat"] += 1
     assert results["sat"] >= 100 and results["unsat"] >= 100
 
