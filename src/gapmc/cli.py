@@ -76,8 +76,7 @@ def cmd_denote(args) -> int:
 
 def cmd_prestar(args) -> int:
     g = _load_system(args.system)
-    vars, consts = tuple(sorted(g.vars)), tuple(sorted(g.consts))
-    s = set_from_json(json.loads(_read(args.set_file)), vars, consts)
+    s = set_from_json(json.loads(_read(args.set_file)), g.vars, g.consts)
     guard = parse_clauses(args.guard) if args.guard else ()
     actions = tuple(args.actions.split(",")) if args.actions else None
     metrics = Metrics()

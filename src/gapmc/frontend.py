@@ -49,6 +49,7 @@ from .mg import (
     Clause,
     MonotonicityGraph,
     Node,
+    Universe,
     check_exact,
     is_const,
     is_primed,
@@ -498,28 +499,17 @@ def serialize_lts(l: FiniteLts) -> str:
 # set is an array of its members' graphs.  dump_set is the stable text form.
 
 
-def _kept_edges(ws: np.ndarray, nodes: Sequence[Node]) -> np.ndarray:
-    """The mask of the entries of the (m, n, n) stack ws over the nodes that
-    JSON writes.  -inf entries, valid edges between two constants
-    (w <= c - d) and non-positive self-edges carry no information: an entry
-    is kept when it lies strictly above that floor."""
-    const = np.array([is_const(x) for x in nodes], dtype=bool)
-    c = np.array([x if is_const(x) else 0 for x in nodes], dtype=float)
-    floor = np.where(const[:, None] & const[None, :], c[:, None] - c[None, :], NEG_INF)
-    np.fill_diagonal(floor, 0)
-    return ws > floor
-
-
 def _weight_to_json(w: float):
     if w == POS_INF:
         return "+inf"
     return int(w)
 
 
-def _graphs_json(ws: np.ndarray, nodes: Sequence[Node]) -> list[dict]:
-    """One JSON graph per matrix of the stack ws over the nodes."""
-    out = []
-    for w, keep in zip(ws, _kept_edges(ws, nodes)):
+def _graphs_json(ws: np.ndarray, u: Universe) -> list[dict]:
+    """One JSON graph per matrix of the stack ws over the universe u, with
+    the entries above the universe's floor as its edges (Universe.floor)."""
+    nodes, out = u.nodes, []
+    for w, keep in zip(ws, ws > u.floor):
         i, j = np.nonzero(keep)
         edges = [
             {"from": nodes[a], "to": nodes[b], "weight": _weight_to_json(x)}
@@ -533,7 +523,7 @@ def mg_to_json(m: MonotonicityGraph) -> dict:
     """Nodes plus finite/+inf edges; -inf edges are omitted.  Valid edges
     between two constants and non-positive self-edges carry no information
     and are dropped."""
-    return _graphs_json(m.w[None], m.nodes())[0]
+    return _graphs_json(m.w[None], m.u)[0]
 
 
 def _json_int(x, what: str) -> int:
@@ -580,7 +570,7 @@ def mg_from_json(doc: dict) -> MonotonicityGraph:
 
 
 def set_to_json(s: SymbolicSet) -> list:
-    return _graphs_json(s.w, s.vars + s.consts)
+    return _graphs_json(s.w, s.u)
 
 
 def set_from_json(
@@ -606,7 +596,7 @@ def dump_set(s: SymbolicSet) -> str:
     built once, and only the kept weights are formatted one by one."""
     if not len(s.w):
         return "[]"
-    nodes = s.vars + s.consts
+    nodes = s.u.nodes
     n = len(nodes)
     lits = [json.dumps(x) for x in nodes]
     node_list = '"nodes": [\n      ' + ",\n      ".join(lits) + "\n    ]" if lits else '"nodes": []'
@@ -615,7 +605,7 @@ def dump_set(s: SymbolicSet) -> str:
         for a in lits
         for b in lits
     ]
-    keep = _kept_edges(s.w, nodes)
+    keep = s.w > s.u.floor
     _, pair = np.nonzero(keep.reshape(len(s.w), n * n))
     edges = [
         heads[k] + ('"+inf"' if x == POS_INF else str(int(x))) + "\n      }"

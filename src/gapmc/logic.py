@@ -189,7 +189,6 @@ class _Evaluation:
     def __init__(self, g: Gcs, f: Formula, metrics: Optional[Metrics], max_pool):
         self.g, self.max_pool = g, max_pool
         self.metrics = metrics = metrics if metrics is not None else Metrics()
-        self.vars, self.consts = tuple(sorted(g.vars)), tuple(sorted(g.consts))
         self.conj: set[int] = set()  # interned conjunctions of atoms only
         self.stacks: dict[tuple, RuleStack] = {}
         self.root = self.intern(f)
@@ -234,13 +233,13 @@ class _Evaluation:
         return memo[id(f)]
 
     def _step(self, f: Formula, d) -> SymbolicSet:
-        g, vars, consts = self.g, self.vars, self.consts
+        g = self.g
         if isinstance(f, Atom):
-            return sets.atom_set(vars, consts, [f.clause])
+            return sets.atom_set(g.vars, g.consts, [f.clause])
         if id(f) in self.conj:
-            return sets.atom_set(vars, consts, [a.clause for a in _postorder(f) if type(a) is Atom])
+            return sets.atom_set(g.vars, g.consts, [a.clause for a in _postorder(f) if type(a) is Atom])
         if isinstance(f, TrueF):
-            return sets.full_set(vars, consts)
+            return sets.full_set(g.vars, g.consts)
         if isinstance(f, NotF):
             return sets.complement(d(f.f))
         if isinstance(f, AndF):

@@ -8,14 +8,17 @@ positive total weight) makes the graph unsatisfiable.
 
 Node universe and ordering are canonical: unprimed variables sorted by name,
 then their primed copies (for transitional graphs), then constants sorted by
-value (``layout``); ``clause_stack`` builds weight matrices in that order, and
-the engine works on those arrays, not on graph objects.  All operations are
-pure; graphs are never mutated after construction.
+value; ``universe`` is the one place that knows it.  ``clause_stack`` builds
+weight matrices in that order, and the engine works on those arrays, not on
+graph objects.  All operations are pure; graphs are never mutated after
+construction.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -78,24 +81,71 @@ def check_exact(values: Iterable, n: int) -> None:
         raise ValueError(f"|{big}| x ({n} nodes + 1) exceeds 2^53, the exact range of weights")
 
 
-def layout(vars: Sequence[str], consts: Sequence[int], transitional: bool = False) -> list[Node]:
-    """The node order of a universe, for canonical (sorted, distinct) vars
-    and consts: the variables, then their primed copies if transitional,
-    then the constants."""
-    return [*vars, *(map(prime, vars) if transitional else ()), *consts]
+# one record per universe, cached: universes in one run are few while graphs
+# number in the thousands; the bound keeps a long-lived process from growing
+_UNIVERSE_CACHE_SIZE = 64
 
 
-def clause_stack(
-    vars: Sequence[str],
-    consts: Sequence[int],
-    clause_sets: Sequence[Iterable[Clause]],
-    transitional: bool = False,
-) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Universe:
+    """The node layout of one (Var, Const) universe and the read-only tables
+    shared by every weight matrix over it; built only by universe()."""
+
+    vars: tuple[str, ...]  # sorted, distinct
+    consts: tuple[int, ...]  # sorted, distinct
+    transitional: bool
+    nodes: tuple[Node, ...]  # vars, their primed copies if transitional, consts
+    index: Mapping[Node, int]  # node -> position in nodes
+    seed: np.ndarray  # c ->(c-d) d for distinct constants c, d; -inf elsewhere
+    # the seed with 0 on the diagonal, which every closed graph meets: only an
+    # entry above it says something, and one above -inf constrains no variable
+    floor: np.ndarray
+    entries: np.ndarray  # flat indices of the pairs other than two constants
+    primed: range  # positions of the primed variables, if transitional
+    block: Optional[slice]  # the primed variables and constants, if transitional
+    plain: np.ndarray  # positions of the unprimed variables and constants
+
+    @functools.cached_property
+    def unsat(self) -> "MonotonicityGraph":
+        """The canonical explicitly unsatisfiable plain graph of the universe
+        (all weights +inf); one shared instance per record."""
+        n = len(self.plain)
+        return MonotonicityGraph(self.vars, self.consts, False, np.full((n, n), POS_INF), closed=True)
+
+
+def universe(vars: Iterable[str], consts: Iterable[int], transitional: bool = False) -> Universe:
+    """The record of the universe over vars and consts (any order, repeats
+    allowed), with primed copies if transitional; refuses what check_exact does."""
+    return _universe(tuple(sorted(set(vars))), tuple(sorted(set(consts))), transitional)
+
+
+@functools.lru_cache(maxsize=_UNIVERSE_CACHE_SIZE)
+def _universe(vars: tuple, consts: tuple, transitional: bool) -> Universe:
+    nv = len(vars)
+    nodes = (*vars, *map(prime, vars if transitional else ()), *consts)
+    n, c0 = len(nodes), len(nodes) - len(consts)
+    check_exact(consts, n)
+    floor = np.full((n, n), NEG_INF)
+    floor[c0:, c0:] = np.subtract.outer(consts, consts)
+    np.fill_diagonal(floor, 0)
+    seed = floor.copy()
+    np.fill_diagonal(seed, NEG_INF)
+    const = np.arange(n) >= c0
+    entries = np.flatnonzero(~(const[:, None] & const[None, :]))
+    primed = range(nv, 2 * nv) if transitional else range(0)
+    plain = np.array([i for i in range(n) if i not in primed], dtype=np.intp)
+    for a in (seed, floor, entries, plain):
+        a.setflags(write=False)
+    index = MappingProxyType({x: i for i, x in enumerate(nodes)})
+    block = slice(nv, None) if transitional else None
+    return Universe(vars, consts, transitional, nodes, index, seed, floor, entries, primed, block, plain)
+
+
+def clause_stack(u: Universe, clause_sets: Sequence[Iterable[Clause]]) -> np.ndarray:
     """The (len(clause_sets), n, n) weight matrices of the clause sets over
-    layout(vars, consts, transitional): each entry the largest offset that a
-    clause of its set demands for that pair, -inf where none does."""
-    idx = {x: i for i, x in enumerate(layout(vars, consts, transitional))}
-    n = len(idx)
+    the universe u: each entry the largest offset that a clause of its set
+    demands for that pair, -inf where none does."""
+    idx, n = u.index, len(u.nodes)
     ws = np.full((len(clause_sets), n, n), NEG_INF)
     flat, ks = [], []
     for t, clauses in enumerate(clause_sets):
@@ -112,32 +162,12 @@ def clause_stack(
     return ws
 
 
-# per-universe tables are cached: universes in one run are few while graphs
-# number in the thousands; the bound keeps a long-lived process from growing
-_UNIVERSE_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=_UNIVERSE_CACHE_SIZE)
-def _seed(n: int, consts: tuple) -> np.ndarray:
-    """The implicit constant-difference edges c ->(c-d) d for every ordered
-    pair of distinct constants, the last nodes of an n-node universe;
-    -inf elsewhere."""
-    check_exact(consts, n)
-    seed = np.full((n, n), NEG_INF)
-    c0 = n - len(consts)
-    for i, x in enumerate(consts, c0):
-        for j, y in enumerate(consts, c0):
-            if i != j:
-                seed[i, j] = x - y
-    seed.setflags(write=False)
-    return seed
-
-
-def close_seeded(ws: np.ndarray, consts: tuple) -> np.ndarray:
-    """Seed the constant edges into a writable stack of weight matrices,
-    close it in place over every pivot and return the mask of matrices with
-    no positive cycle on the diagonal (a +inf input entry is not caught)."""
-    np.maximum(ws, _seed(ws.shape[-1], consts), out=ws)
+def close_seeded(ws: np.ndarray, u: Universe) -> np.ndarray:
+    """Seed the constant edges of the universe u into a writable stack of
+    weight matrices over it, close the stack in place over every pivot and
+    return the mask of matrices with no positive cycle on the diagonal (a
+    +inf input entry is not caught)."""
+    np.maximum(ws, u.seed, out=ws)
     with np.errstate(invalid="ignore"):
         _close_stack(ws, range(ws.shape[-1]))
     return (ws.diagonal(0, 1, 2) <= 0).all(axis=1)
@@ -152,19 +182,10 @@ def differences(nodes: Sequence[Node], valuation: Mapping[str, int]) -> np.ndarr
     return a[:, None] - a[None, :]
 
 
-@functools.lru_cache(maxsize=_UNIVERSE_CACHE_SIZE)
-def _constraint_entries(n: int, n_consts: int) -> np.ndarray:
-    """Flat indices of the node pairs that express constraints: everything
-    except pairs of constants (implicit arithmetic facts), which are the
-    last n_consts nodes."""
-    const = np.arange(n) >= n - n_consts
-    return np.flatnonzero(~(const[:, None] & const[None, :]))
-
-
-def degree_norm(w: np.ndarray, n_consts: int) -> tuple[int, int]:
-    """(degree, norm) of one weight matrix whose last n_consts nodes are
-    constants, in one pass over its constraint entries (see degree(), norm())."""
-    w = w.take(_constraint_entries(w.shape[0], n_consts))
+def degree_norm(w: np.ndarray, u: Universe) -> tuple[int, int]:
+    """(degree, norm) of one weight matrix over the universe u, in one pass
+    over its constraint entries (see degree(), norm())."""
+    w = w.take(u.entries)
     finite = w[np.isfinite(w)]
     if finite.size == 0:
         return 0, 0
@@ -176,7 +197,7 @@ def degree_norm(w: np.ndarray, n_consts: int) -> tuple[int, int]:
 class MonotonicityGraph:
     """Immutable weighted digraph over Var (∪ Var') ∪ Const."""
 
-    __slots__ = ("vars", "consts", "transitional", "w", "closed")
+    __slots__ = ("vars", "consts", "transitional", "u", "w", "closed")
 
     def __init__(
         self,
@@ -186,10 +207,9 @@ class MonotonicityGraph:
         w: Optional[np.ndarray] = None,
         closed: bool = False,
     ):
-        self.vars = tuple(sorted(set(vars)))
-        self.consts = tuple(sorted(set(consts)))
-        self.transitional = transitional
-        n = len(self.nodes())
+        self.u = u = universe(vars, consts, transitional)
+        self.vars, self.consts, self.transitional = u.vars, u.consts, transitional
+        n = len(u.nodes)
         if w is None:
             w = np.full((n, n), NEG_INF)
         if w.shape != (n, n):
@@ -199,14 +219,13 @@ class MonotonicityGraph:
         self.closed = closed
 
     def nodes(self) -> list[Node]:
-        return layout(self.vars, self.consts, self.transitional)
+        return list(self.u.nodes)
 
-    def index(self) -> dict[Node, int]:
-        return {n: i for i, n in enumerate(self.nodes())}
+    def index(self) -> Mapping[Node, int]:
+        return self.u.index
 
     def weight(self, x: Node, y: Node) -> float:
-        idx = self.index()
-        return float(self.w[idx[x], idx[y]])
+        return float(self.w[self.u.index[x], self.u.index[y]])
 
     def edges(self) -> list[tuple[Node, Node, float]]:
         """All stored edges with weight > -inf, in canonical node order."""
@@ -233,7 +252,7 @@ class MonotonicityGraph:
         if self.closed:
             return self
         w = np.array(self.w)
-        if not close_seeded(w[None], self.consts)[0]:
+        if not close_seeded(w[None], self.u)[0]:
             pos = np.diagonal(w) > 0
             to_cyc = w[:, pos] > NEG_INF
             from_cyc = w[pos, :] > NEG_INF
@@ -246,15 +265,14 @@ class MonotonicityGraph:
     def degree(self) -> int:
         """Magnitude of the most negative finite edge weight.  Edges between
         two constants are arithmetic facts, not constraints, and are ignored."""
-        return degree_norm(self.w, len(self.consts))[0]
+        return degree_norm(self.w, self.u)[0]
 
     def restrict(self, keep: Iterable[str]) -> "MonotonicityGraph":
         """Maximal subgraph over ``keep`` ∪ Const (primed nodes dropped)."""
         keep = set(keep)
         if not keep <= set(self.vars):
             raise ValueError("restriction variables must be a subset of the graph's")
-        ns = self.nodes()
-        sel = [i for i, x in enumerate(ns) if is_const(x) or (not is_primed(x) and x in keep)]
+        sel = [self.u.index[x] for x in (*sorted(keep), *self.consts)]
         w = self.w[np.ix_(sel, sel)].copy()
         return MonotonicityGraph(sorted(keep), self.consts, False, w, self.closed)
 
@@ -269,12 +287,12 @@ class MonotonicityGraph:
         return self.with_weights(np.maximum(self.w, other.w))
 
     def evaluate(self, valuation: Mapping[str, int]) -> bool:
-        return bool((differences(self.nodes(), valuation) >= self.w).all())
+        return bool((differences(self.u.nodes, valuation) >= self.w).all())
 
     def norm(self) -> int:
         """Size measure used by runtime metrics: degree plus the largest
         non-negative finite weight plus one; 0 for an edgeless graph."""
-        return degree_norm(self.w, len(self.consts))[1]
+        return degree_norm(self.w, self.u)[1]
 
     # -- identity ----------------------------------------------------------
 
@@ -307,9 +325,8 @@ def from_constraint(
     clauses = list(clauses)
     if transitional is None:
         transitional = any(is_primed(c.left) or is_primed(c.right) for c in clauses)
-    vars, consts = tuple(sorted(set(vars))), tuple(sorted(set(consts)))
-    w = clause_stack(vars, consts, [clauses], transitional)[0]
-    return MonotonicityGraph(vars, consts, transitional, w)
+    u = universe(vars, consts, transitional)
+    return MonotonicityGraph(u.vars, u.consts, transitional, clause_stack(u, [clauses])[0])
 
 
 def covers(n: MonotonicityGraph, m: MonotonicityGraph) -> bool:
@@ -334,11 +351,9 @@ def compose(g: MonotonicityGraph, m: MonotonicityGraph) -> MonotonicityGraph:
         raise ValueError("compose expects a transitional g and a plain m")
     if g.vars != m.vars or g.consts != m.consts:
         raise ValueError("compose requires matching variables and constants")
-    nv = len(g.vars)
-    # m's node i (a variable) becomes primed slot nv + i; constants keep
-    # their tail position, so m maps onto the contiguous block nv..n
     w = np.array(g.w)
-    np.maximum(w[nv:, nv:], m.w, out=w[nv:, nv:])
+    block = w[g.u.block, g.u.block]
+    np.maximum(block, m.w, out=block)
     c = g.with_weights(w).closure()
     if np.isposinf(c.w).any():
         return unsat_graph(g.vars, g.consts)
@@ -350,27 +365,25 @@ class RuleStack:
     one (r, n, n) weight array for compose_batch, with the rule side of its
     prefilter, its pivot nodes and its projection computed once."""
 
-    __slots__ = ("vars", "consts", "w", "_neg_bounds", "_member_bounds", "_pivots", "_proj")
+    __slots__ = ("u", "w", "_neg_bounds", "_member_bounds", "_pivots", "_proj")
 
-    def __init__(self, vars: tuple, consts: tuple, w: np.ndarray):
-        nv, n = len(vars), w.shape[1]
-        self.vars, self.consts, self.w = vars, consts, w
+    def __init__(self, vars: Iterable[str], consts: Iterable[int], w: np.ndarray):
+        self.u = u = universe(vars, consts, True)
+        self.w = w
         w.setflags(write=False)
-        primed = list(range(nv, 2 * nv))
+        n, keep, primed = len(u.nodes), u.plain, list(u.primed)
         # flat indices of the unprimed-and-constant block
-        keep = np.array(list(range(nv)) + list(range(2 * nv, n)))
         self._proj = (keep[:, None] * n + keep).ravel()
-        if consts:
+        if u.consts:
             # a two-edge cycle x' -> c -> x' through the first constant c,
             # one edge from the rule and one from the member, is positive
             # iff the member's B[c, x] exceeds -A[x', c] (and symmetrically
             # B[x, c] against -A[c, x']); kept here as the flat indices of
-            # those member entries and the negated rule entries
-            c, m = 2 * nv, n - nv
+            # those member entries (a member lists its nv variables first) and
+            # the negated rule entries
+            c, nv, m = u.index[u.consts[0]], len(u.vars), len(keep)
             self._neg_bounds = -np.concatenate((w[:, primed, c], w[:, c, primed]), axis=1)
-            self._member_bounds = np.concatenate(
-                (np.arange(nv) + nv * m, np.arange(nv) * m + nv)
-            )
+            self._member_bounds = np.concatenate((np.arange(nv) + nv * m, np.arange(nv) * m + nv))
             self._pivots = primed + [c]
         else:
             self._neg_bounds = None
@@ -388,12 +401,11 @@ def close_rules(
 ) -> np.ndarray:
     """The closed weight matrices of the transitional graphs of each rule's
     clauses intersected with the guard's, built as one stack and closed in
-    one batched pass; unsatisfiable rules are dropped.  vars and consts are
-    sorted and distinct, as in every graph."""
-    base = clause_stack(vars, consts, [guard], True)
-    ws = clause_stack(vars, consts, rules, True)
+    one batched pass; unsatisfiable rules are dropped."""
+    u = universe(vars, consts, True)
+    base, ws = clause_stack(u, [guard]), clause_stack(u, rules)
     np.maximum(ws, base, out=ws)
-    return ws[close_seeded(ws, consts)]
+    return ws[close_seeded(ws, u)]
 
 
 def compose_batch(rules: RuleStack, mw: np.ndarray) -> list[Optional[np.ndarray]]:
@@ -416,12 +428,12 @@ def compose_batch(rules: RuleStack, mw: np.ndarray) -> list[Optional[np.ndarray]
         idx = ok.nonzero()[0]
     if not idx.size:
         return out
-    nv, m = len(rules.vars), mw.shape[0]
     ws = rules.w.take(idx, axis=0)
-    block = ws[:, nv:, nv:]
+    block = ws[:, rules.u.block, rules.u.block]
     np.maximum(block, mw, out=block)
     _close_stack(ws, rules._pivots)
     sat = ws.diagonal(0, 1, 2).max(axis=1) <= 0
+    m = mw.shape[0]
     proj = ws.reshape(len(idx), -1).take(rules._proj, axis=1).reshape(-1, m, m)
     for t, s, pw in zip(idx.tolist(), sat.tolist(), proj):
         if s:
@@ -429,12 +441,10 @@ def compose_batch(rules: RuleStack, mw: np.ndarray) -> list[Optional[np.ndarray]
     return out
 
 
-@functools.lru_cache(maxsize=_UNIVERSE_CACHE_SIZE)
-def unsat_graph(vars: tuple, consts: tuple) -> MonotonicityGraph:
+def unsat_graph(vars: Iterable[str], consts: Iterable[int]) -> MonotonicityGraph:
     """The canonical explicitly unsatisfiable plain graph of a universe
-    (all weights +inf); one shared instance per universe."""
-    n = len(vars) + len(consts)
-    return MonotonicityGraph(vars, consts, False, np.full((n, n), POS_INF), closed=True)
+    (all weights +inf); one shared instance per universe record."""
+    return universe(vars, consts).unsat
 
 
 def canonicalize(m: MonotonicityGraph) -> MonotonicityGraph:

@@ -19,6 +19,7 @@ from .mg import (
     Clause,
     MonotonicityGraph,
     RuleStack,
+    Universe,
     clause_stack,
     close_rules,
     close_seeded,
@@ -26,7 +27,7 @@ from .mg import (
     compose_batch,
     degree_norm,
     differences,
-    layout,
+    universe,
 )
 
 
@@ -51,13 +52,13 @@ class Metrics:
     constraint_count: int = 0
     nesting_depth: int = 0
 
-    def saw_graph(self, w: Optional[np.ndarray], n_consts: int) -> None:
-        """Count one composition result: its weight matrix, whose last
-        n_consts nodes are constants, or None if it is unsatisfiable."""
+    def saw_graph(self, w: Optional[np.ndarray], u: Universe) -> None:
+        """Count one composition result: its weight matrix over the universe
+        u, or None if it is unsatisfiable."""
         self.graphs_created += 1
         if w is None:
             return
-        degree, norm = degree_norm(w, n_consts)
+        degree, norm = degree_norm(w, u)
         self.max_norm = max(self.max_norm, norm)
         self.degree_bound = max(self.degree_bound, degree)
 
@@ -74,10 +75,12 @@ class SymbolicSet:
     consts: tuple[int, ...]
     w: np.ndarray = field(compare=False, repr=False)
     key: bytes = field(init=False, repr=False)
+    u: Universe = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.w.setflags(write=False)
         object.__setattr__(self, "key", self.w.tobytes())
+        object.__setattr__(self, "u", universe(self.vars, self.consts))
 
     @property
     def members(self) -> tuple[MonotonicityGraph, ...]:
@@ -90,24 +93,24 @@ class SymbolicSet:
         return len(self.w) == 0
 
     def degree(self) -> int:
-        return max((degree_norm(w, len(self.consts))[0] for w in self.w), default=0)
+        return max((degree_norm(w, self.u)[0] for w in self.w), default=0)
 
 
-def _normalise(vars: tuple, consts: tuple, ws, close: bool = True) -> SymbolicSet:
-    """The set of the weight matrices ws, shaped (m, n, n): with close set
-    they are closed first and unsatisfiable rows dropped, otherwise they must
-    be closed and satisfiable already; then duplicate and covered rows go."""
-    n = len(vars) + len(consts)
+def _normalise(u: Universe, ws, close: bool = True) -> SymbolicSet:
+    """The set of the (m, n, n) weight matrices ws over u: with close set they
+    are closed first and unsatisfiable rows dropped, otherwise they must be
+    closed and satisfiable already; then duplicate and covered rows go."""
+    n = len(u.nodes)
     ws = np.asarray(ws, dtype=float).reshape(len(ws), n, n)
     if close:
         # a +inf entry is an unsatisfiable clause even where no cycle meets it
         ws = ws[~np.isposinf(ws).any(axis=(1, 2))]
-        ws = ws[close_seeded(ws, consts)]
+        ws = ws[close_seeded(ws, u)]
     rows = sorted({w.tobytes(): i for i, w in enumerate(ws)}.items())
     ws = ws[[i for _, i in rows]]
     # p ⊑ w (Sat(p) ⊇ Sat(w)) iff p <= w; keep rows covered only by themselves
     keep = [np.count_nonzero((ws <= w).all(axis=(1, 2))) == 1 for w in ws]
-    return SymbolicSet(vars, consts, ws[np.array(keep, dtype=bool)])
+    return SymbolicSet(u.vars, u.consts, ws[np.array(keep, dtype=bool)])
 
 
 def make_set(
@@ -116,12 +119,11 @@ def make_set(
     graphs: Iterable[MonotonicityGraph] = (),
 ) -> SymbolicSet:
     """The set of the given plain graphs, closed and normalised."""
-    vars = tuple(sorted(set(vars)))
-    consts = tuple(sorted(set(consts)))
+    u = universe(vars, consts)
     graphs = list(graphs)
-    if any(g.vars != vars or g.consts != consts or g.transitional for g in graphs):
+    if any(g.vars != u.vars or g.consts != u.consts or g.transitional for g in graphs):
         raise ValueError("member graph universe does not match the set's")
-    return _normalise(vars, consts, [g.w for g in graphs])
+    return _normalise(u, [g.w for g in graphs])
 
 
 def empty_set(vars: Iterable[str], consts: Iterable[int]) -> SymbolicSet:
@@ -134,36 +136,35 @@ def full_set(vars: Iterable[str], consts: Iterable[int]) -> SymbolicSet:
 
 def atom_set(vars, consts, clauses: Iterable[Clause]) -> SymbolicSet:
     """The set of valuations satisfying a conjunction of gap clauses."""
-    vars, consts = tuple(sorted(set(vars))), tuple(sorted(set(consts)))
-    return _normalise(vars, consts, clause_stack(vars, consts, [clauses]))
+    u = universe(vars, consts)
+    return _normalise(u, clause_stack(u, [clauses]))
 
 
 def union(s: SymbolicSet, t: SymbolicSet) -> SymbolicSet:
     _check_universe(s, t)
-    return _normalise(s.vars, s.consts, np.concatenate((s.w, t.w)), close=False)
+    return _normalise(s.u, np.concatenate((s.w, t.w)), close=False)
 
 
 def intersect_sets(s: SymbolicSet, t: SymbolicSet) -> SymbolicSet:
     _check_universe(s, t)
     n = s.w.shape[1]
     prods = np.maximum(s.w[:, None], t.w[None, :]).reshape(len(s.w) * len(t.w), n, n)
-    return _normalise(s.vars, s.consts, prods)
+    return _normalise(s.u, prods)
 
 
 def complement(s: SymbolicSet) -> SymbolicSet:
-    """De Morgan over the members' constraints: a finite entry w[i, j] = k
-    off the diagonal and off the constant pairs (x_i - x_j >= k) negates to
-    the single edge w[j, i] = 1 - k; the conjunction of per-member unions is
-    distributed back into a union, normalising after every step."""
+    """De Morgan over the members' constraints: an entry w[i, j] = k above
+    the floor (x_i - x_j >= k; a closed member's diagonal and constant pairs
+    lie on it) negates to the single edge w[j, i] = 1 - k; the conjunction of
+    per-member unions is distributed back into a union, normalising after
+    every step."""
     n = s.w.shape[1]
-    const = np.arange(n) >= len(s.vars)
-    free = np.eye(n, dtype=bool) | (const[:, None] & const[None, :])
     result = full_set(s.vars, s.consts)
     for w in s.w:
-        i, j = np.nonzero(np.isfinite(w) & ~free)
+        i, j = np.nonzero(w > s.u.floor)
         negs = np.full((len(i), n, n), NEG_INF)
         negs[np.arange(len(i)), j, i] = 1 - w[i, j]
-        result = intersect_sets(result, _normalise(s.vars, s.consts, negs))
+        result = intersect_sets(result, _normalise(s.u, negs))
         if result.is_empty():
             break
     return result
@@ -184,7 +185,7 @@ def contains(s: SymbolicSet, valuation: Mapping[str, int]) -> bool:
     check_valuation(s.vars, valuation)
     if s.is_empty():
         return False
-    diff = differences(layout(s.vars, s.consts), valuation)
+    diff = differences(s.u.nodes, valuation)
     return bool((diff >= s.w).all(axis=(1, 2)).any())
 
 
@@ -217,14 +218,14 @@ def pre_action(
         raise ValueError(f"unknown action {action!r}")
     if rules is None:
         rules = transitional_graphs(gcs, guard, (action,))
-    out = []
+    u, out = s.u, []
     for mw in s.w:
         for pw in compose_batch(rules, mw):
             if metrics is not None:
-                metrics.saw_graph(pw, len(s.consts))
+                metrics.saw_graph(pw, u)
             if pw is not None:
                 out.append(pw)
-    return _normalise(s.vars, s.consts, out, close=False)
+    return _normalise(u, out, close=False)
 
 
 def transitional_graphs(
@@ -236,9 +237,8 @@ def transitional_graphs(
     with a guard constraint, closed and stacked; unsatisfiable ones are
     dropped."""
     acts = None if actions is None else set(actions)
-    vars, consts = tuple(sorted(set(gcs.vars))), tuple(sorted(set(gcs.consts)))
     rules = [r.clauses for r in gcs.rules if acts is None or r.label in acts]
-    return RuleStack(vars, consts, close_rules(vars, consts, rules, guard))
+    return RuleStack(gcs.vars, gcs.consts, close_rules(gcs.vars, gcs.consts, rules, guard))
 
 
 def pre_star(
@@ -259,7 +259,7 @@ def pre_star(
     with degree-0 rule graphs never raises the degree and covering is a
     well-order at fixed degree."""
     pool = _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules)
-    return _normalise(s.vars, s.consts, pool, close=False)
+    return _normalise(s.u, pool, close=False)
 
 
 def reaches(
@@ -287,13 +287,13 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
         if not c.is_positive():
             raise GuardError(f"reachability guards must be positive, got {c}")
     if metrics is not None:
-        metrics.dimension = (len(s.vars) + len(s.consts)) ** 2
+        metrics.dimension = len(s.u.nodes) ** 2
         metrics.constants_magnitude = max((abs(c) for c in s.consts), default=0)
         metrics.constraint_count = len(gcs.rules)
     if rules is None:
         rules = transitional_graphs(gcs, guard, actions)
     if stop_at is not None and not s.is_empty():
-        diff = differences(layout(s.vars, s.consts), stop_at)
+        diff = differences(s.u.nodes, stop_at)
         if bool((diff >= s.w).all(axis=(1, 2)).any()):
             return True
     # the pool is an amortized-growth stack, for a vectorized covering test;
@@ -305,7 +305,7 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
         head += 1
         for pw in compose_batch(rules, pool[head - 1]):
             if metrics is not None:
-                metrics.saw_graph(pw, len(s.consts))
+                metrics.saw_graph(pw, s.u)
             if pw is None:
                 continue  # unsatisfiable composition
             if bool((pool[:n_pool] <= pw).all(axis=(1, 2)).any()):
