@@ -51,10 +51,20 @@ def _load_system(path: str):
     return g
 
 
+def _check_actions(g, actions) -> None:
+    """Refuse an action that the system does not declare.  The engine lets
+    an EF filter name such an action, as one no rule carries (bisim's weak
+    formulas use tau that way); given on the command line, it is a mistake."""
+    unknown = sorted(set(actions) - set(g.acts))
+    if unknown:
+        raise ValueError(f"unknown action {unknown[0]!r}")
+
+
 def cmd_check(args) -> int:
     g = _load_system(args.system)
     v = parse_valuation(args.valuation)
     f = parse_formula(args.formula)
+    _check_actions(g, logic.action_names(f))
     metrics = Metrics()
     verdict = logic.check(g, v, f, metrics=metrics, max_pool=args.max_pool)
     print("true" if verdict else "false")
@@ -66,6 +76,7 @@ def cmd_check(args) -> int:
 def cmd_denote(args) -> int:
     g = _load_system(args.system)
     f = parse_formula(args.formula)
+    _check_actions(g, logic.action_names(f))
     metrics = Metrics()
     d = logic.denote(g, f, metrics=metrics, max_pool=args.max_pool)
     print(dump_set(d.set))
@@ -76,9 +87,14 @@ def cmd_denote(args) -> int:
 
 def cmd_prestar(args) -> int:
     g = _load_system(args.system)
-    s = set_from_json(json.loads(_read(args.set_file)), g.vars, g.consts)
+    try:  # the JSON decoder recurses once per nesting level
+        doc = json.loads(_read(args.set_file))
+    except RecursionError:
+        raise ParseError("the set file nests too deeply to read") from None
+    s = set_from_json(doc, g.vars, g.consts)
     guard = parse_clauses(args.guard) if args.guard else ()
     actions = tuple(args.actions.split(",")) if args.actions else None
+    _check_actions(g, actions or ())
     metrics = Metrics()
     result = symsets.pre_star(
         g, s, guard, actions, metrics=metrics, max_pool=args.max_pool

@@ -211,6 +211,17 @@ def _token_list(ts: _Stream) -> list[Token]:
     return out
 
 
+def _once(tokens: list[Token], values: list, what: str) -> tuple:
+    """The values of the tokens, one each; a repeated value is refused at
+    the token that repeats it."""
+    seen = set()
+    for t, v in zip(tokens, values):
+        if v in seen:
+            raise ParseError(f"repeated {what} {t.text!r}", t.line, t.col)
+        seen.add(v)
+    return tuple(values)
+
+
 def parse_gcs(text: str) -> Gcs:
     ts = _Stream(tokenize(text))
     ts.expect("gcs")
@@ -218,27 +229,31 @@ def parse_gcs(text: str) -> Gcs:
     vars: tuple[str, ...] = ()
     consts: tuple[int, ...] = ()
     declared: Optional[tuple[str, ...]] = None
+    keys: set[str] = set()
     while not ts.accept("}"):
         key = ts.next()
+        if key.text in keys:
+            raise ParseError(f"repeated header entry {key.text!r}", key.line, key.col)
+        keys.add(key.text)
         ts.expect(":")
         if key.text == "vars":
             names = _token_list(ts)
             for t in names:
                 if t.kind != "name" or t.text.endswith("'"):
                     raise ParseError(f"bad variable name {t.text!r}", t.line, t.col)
-            vars = tuple(t.text for t in names)
+            vars = _once(names, [t.text for t in names], "variable")
         elif key.text == "consts":
             nums = _token_list(ts)
             for t in nums:
                 if t.kind != "num":
                     raise ParseError(f"bad constant {t.text!r}", t.line, t.col)
-            consts = tuple(int(t.text) for t in nums)
+            consts = _once(nums, [int(t.text) for t in nums], "constant")
         elif key.text == "acts":
             names = _token_list(ts)
             for t in names:
                 if t.kind not in ("name", "num"):
                     raise ParseError(f"bad action name {t.text!r}", t.line, t.col)
-            declared = tuple(t.text for t in names)
+            declared = _once(names, [t.text for t in names], "action")
         else:
             raise ParseError(f"unknown header entry {key.text!r}", key.line, key.col)
         ts.expect(";")
@@ -445,6 +460,8 @@ def parse_valuation(text: str) -> Valuation:
         if val.kind != "num":
             raise ParseError(f"expected an integer, found {val.text!r}",
                              val.line, val.col)
+        if name.text in out:
+            raise ParseError(f"{name.text!r} is assigned twice", name.line, name.col)
         out[name.text] = int(val.text)
         if ts.peek().kind != "eof":
             ts.expect(",")
@@ -527,14 +544,13 @@ def mg_to_json(m: MonotonicityGraph) -> dict:
 
 
 def _json_int(x, what: str) -> int:
-    """An integer read from JSON; a fractional number is refused, not truncated."""
-    try:
-        k = int(x)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"bad {what} {x!r}") from None
-    if isinstance(x, float) and k != x:
-        raise ParseError(f"bad {what} {x!r}")
-    return k
+    """An integer read from JSON.  A fractional number is refused, not
+    truncated; so are booleans and strings, which Python would convert."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ParseError(f"bad {what} {x!r}")
 
 
 def _json_node(x) -> Node:

@@ -172,6 +172,17 @@ def nesting_depth(f: Formula) -> int:
     return depth[id(f)]
 
 
+def action_names(f: Formula) -> set[str]:
+    """The actions that f names in its modalities and action filters."""
+    names: set[str] = set()
+    for node in _postorder(f):
+        if isinstance(node, Diamond):
+            names.add(node.action)
+        elif isinstance(node, Ef) and node.actions is not None:
+            names.update(node.actions)
+    return names
+
+
 @dataclass
 class Denotation:
     set: SymbolicSet

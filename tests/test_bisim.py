@@ -229,6 +229,20 @@ def test_equiv_check_encoded_self_equivalence():
         assert equiv_check(g, {"state": idx[p]}, l, p)
 
 
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_equiv_check_on_a_system_without_tau(mode):
+    # weak mode asks EF[tau] of a system that declares no tau: it answers as
+    # strong mode does, since no tau step exists on either side
+    l = lts(("a", "b"), ("p", "a", "q"), ("q", "b", "p"), ("p", "b", "p"), ("q", "a", "r"))
+    g = encode_finite_lts(l)
+    assert "tau" not in g.acts
+    idx = {name: i + 1 for i, name in enumerate(l.states)}
+    classes = refine(l)
+    for p in l.states:
+        for s in l.states:
+            assert equiv_check(g, {"state": idx[p]}, l, s, mode) == classes.same_class(p, s)
+
+
 def test_equiv_check_weak_tau_loop():
     g = Gcs(
         vars=("x",), consts=(0,), acts=("tau",),

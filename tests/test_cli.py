@@ -222,11 +222,34 @@ def test_denote_output_matches_golden_files(system_file, tmp_path, capsys):
     (["prestar", "{sys}", "{dir}/bad_node.json"], "bad graph node"),
     (["prestar", "{sys}", "{dir}/bad_weight.json"], "bad edge weight"),
     (["prestar", "{sys}", "{dir}/fractional_weight.json"], "bad edge weight 2.5"),
+    # JSON integers: Python would read true as 1, false as 0 and "5" as 5
+    (["prestar", "{sys}", "{dir}/bool_weight.json"], "bad edge weight True"),
+    (["prestar", "{sys}", "{dir}/string_weight.json"], "bad edge weight '5'"),
+    (["prestar", "{sys}", "{dir}/bool_node.json"], "bad graph node False"),
+    (["prestar", "{sys}", "{dir}/deep.json"], "nests too deeply"),
+    # a header entry, a name in it and a variable of a valuation appear once
+    (["check", "{dir}/vars_twice.gcs", "x=1", "true"], "repeated header entry 'vars'"),
+    (["check", "{dir}/names_twice.gcs", "x=1", "true"], "repeated variable 'x'"),
+    (["check", "{dir}/consts_twice.gcs", "x=1", "true"], "repeated constant '0'"),
+    (["check", "{sys}", "x=2, x=3, y=0", "true"], "'x' is assigned twice"),
+    # every action filter takes declared actions only
+    (["check", "{sys}", "x=1, y=0", "<zz> true"], "unknown action 'zz'"),
+    (["check", "{sys}", "x=1, y=0", "EF[zz] (x >= 0)"], "unknown action 'zz'"),
+    (["check", "{sys}", "x=1, y=0", "AG[zz] (x >= 0)"], "unknown action 'zz'"),
+    (["denote", "{sys}", "EF[a,zz] (x >= 0)"], "unknown action 'zz'"),
+    (["prestar", "{sys}", "{dir}/origin.json", "--actions", "zz"], "unknown action 'zz'"),
 ])
 def test_bad_inputs_exit_2_without_a_traceback(argv, message, system_file, tmp_path, capsys):
     (tmp_path / "loop.lts").write_text("s -a-> s\n")
+    (tmp_path / "vars_twice.gcs").write_text("gcs { vars: x; consts: 0; vars: y; }\n")
+    (tmp_path / "names_twice.gcs").write_text("gcs { vars: x, x; consts: 0; }\n")
+    (tmp_path / "consts_twice.gcs").write_text("gcs { vars: x; consts: 0, 0; }\n")
     edge = {"from": "x", "to": 0}
     docs = {
+        "origin.json": [{"nodes": ["x", "y", 0], "edges": []}],
+        "bool_weight.json": [{"nodes": ["x", "y", 0], "edges": [dict(edge, weight=True)]}],
+        "string_weight.json": [{"nodes": ["x", "y", 0], "edges": [dict(edge, weight="5")]}],
+        "bool_node.json": [{"nodes": ["x", "y", False], "edges": []}],
         "no_weight.json": [{"nodes": ["x", "y", 0], "edges": [edge]}],
         "object.json": {"a": 1},
         "bad_node.json": [{"nodes": ["x", "y", None], "edges": []}],
@@ -236,6 +259,7 @@ def test_bad_inputs_exit_2_without_a_traceback(argv, message, system_file, tmp_p
     }
     for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "deep.json").write_text("[" * 3000 + "]" * 3000)
     argv = [a.format(sys=system_file, dir=tmp_path) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()

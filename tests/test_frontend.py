@@ -147,6 +147,21 @@ def test_gcs_parse_error_has_location():
     assert e.value.line == 2
 
 
+@pytest.mark.parametrize("parse, text, at", [
+    (parse_gcs, "gcs { vars: x; consts: 0;\n  vars: y; }", (2, 3)),
+    (parse_gcs, "gcs { vars: x, y, x; }", (1, 19)),
+    (parse_gcs, "gcs { consts: 0, 2, -0; }", (1, 21)),
+    (parse_gcs, "gcs { acts: a, b; acts: c; }", (1, 19)),
+    (parse_gcs, "gcs { acts: a, b, a; }", (1, 19)),
+    (parse_valuation, "x=2, y=1, x=3", (1, 11)),
+])
+def test_repeats_are_refused_at_the_repeated_token(parse, text, at):
+    # a second entry or name would silently replace or duplicate the first
+    with pytest.raises(ParseError, match="repeated|assigned twice") as e:
+        parse(text)
+    assert (e.value.line, e.value.col) == at
+
+
 # -- formulas ----------------------------------------------------------------------------
 
 

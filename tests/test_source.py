@@ -36,3 +36,18 @@ def test_every_function_the_benchmark_traces_exists():
             if not callable(getattr(owner, name, None)):
                 missing.append(f"{module_name}.{name}")
     assert table and missing == []
+
+
+def test_every_cache_is_bounded_and_lives_in_mg():
+    # node positions and per-universe tables are worked out in mg alone, and
+    # an unbounded module cache would grow for the life of the process
+    uses = []
+    for path in sorted(Path(gapmc.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (getattr(node, "attr", None) or getattr(node, "id", None)) in ("lru_cache", "cache"):
+                uses.append(f"{path.name}:{node.lineno}")
+    assert uses and {use.split(":")[0] for use in uses} == {"mg.py"}, uses
+    mg = importlib.import_module("gapmc.mg")
+    cached = [f for f in vars(mg).values() if hasattr(f, "cache_parameters")]
+    assert len(cached) == len(uses)  # each use decorates a module-level function
+    assert all(isinstance(f.cache_parameters()["maxsize"], int) for f in cached)
