@@ -93,7 +93,6 @@ class Universe:
 
     vars: tuple[str, ...]  # sorted, distinct
     consts: tuple[int, ...]  # sorted, distinct
-    transitional: bool
     nodes: tuple[Node, ...]  # vars, their primed copies if transitional, consts
     index: Mapping[Node, int]  # node -> position in nodes
     seed: np.ndarray  # c ->(c-d) d for distinct constants c, d; -inf elsewhere
@@ -138,7 +137,7 @@ def _universe(vars: tuple, consts: tuple, transitional: bool) -> Universe:
         a.setflags(write=False)
     index = MappingProxyType({x: i for i, x in enumerate(nodes)})
     block = slice(nv, None) if transitional else None
-    return Universe(vars, consts, transitional, nodes, index, seed, floor, entries, primed, block, plain)
+    return Universe(vars, consts, nodes, index, seed, floor, entries, primed, block, plain)
 
 
 def clause_stack(u: Universe, clause_sets: Sequence[Iterable[Clause]]) -> np.ndarray:
