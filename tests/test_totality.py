@@ -54,9 +54,9 @@ def mangle(rng: random.Random, text: str) -> str:
     return text[:i] + rng.choice(NOISE) + text[i:]
 
 
-class Universe:
-    """The names one generated system declares, and text drawn over them; in
-    an odd universe, the text now and then uses a stranger instead."""
+class Inputs:
+    """The names one generated system declares, and text drawn over them; if
+    odd, the text now and then uses a stranger instead."""
 
     def __init__(self, rng: random.Random):
         self.rng = rng
@@ -151,7 +151,7 @@ def workdir(tmp_path_factory):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_every_input_gets_a_verdict_or_exit_2(workdir, seed):
     rng = random.Random(seed)
-    u = Universe(rng)
+    u = Inputs(rng)
     files = {"system.gcs": u.system(), "set.json": u.set_file(), "loop.lts": u.lts()}
     for name, content in files.items():
         (workdir / name).write_text(mangle(rng, content))
