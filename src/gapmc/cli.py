@@ -60,6 +60,14 @@ def _check_actions(g, actions) -> None:
         raise ValueError(f"unknown action {unknown[0]!r}")
 
 
+def _check_counts(args) -> None:
+    """Refuse a negative --max-pool or --cases: argparse reads any integer."""
+    for name in ("max_pool", "cases"):
+        n = getattr(args, name, None)
+        if n is not None and n < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must not be negative, got {n}")
+
+
 def cmd_check(args) -> int:
     g = _load_system(args.system)
     v = parse_valuation(args.valuation)
@@ -213,6 +221,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        _check_counts(args)
         return args.func(args)
     except (ParseError, UndecidableFormulaError, GuardError, PoolLimitExceeded,
             ValueError, OSError) as e:

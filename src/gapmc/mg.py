@@ -181,16 +181,16 @@ def differences(nodes: Sequence[Node], valuation: Mapping[str, int]) -> np.ndarr
     return a[:, None] - a[None, :]
 
 
-def degree_norm(w: np.ndarray, u: Universe) -> tuple[int, int]:
-    """(degree, norm) of one weight matrix over the universe u, in one pass
-    over its constraint entries (see degree(), norm())."""
-    w = w.take(u.entries)
-    finite = w[np.isfinite(w)]
-    if finite.size == 0:
-        return 0, 0
-    mn = finite.min()
-    degree = int(-mn) if mn < 0 else 0
-    return degree, degree + int(max(finite.max(), 0)) + 1
+def degree_norm(ws: np.ndarray, u: Universe) -> tuple[np.ndarray, np.ndarray]:
+    """(degrees, norms) of a (k, n, n) stack of weight matrices over the
+    universe u, as float arrays of whole numbers, in one pass over their
+    constraint entries (see degree(), norm()); an edgeless matrix has
+    degree and norm 0."""
+    w = ws.reshape(-1, len(u.nodes) ** 2).take(u.entries, axis=1)
+    finite = np.isfinite(w)
+    w[~finite] = 0
+    lo, hi = w.min(axis=1, initial=0), w.max(axis=1, initial=0)
+    return -lo, (hi - lo + 1) * finite.any(axis=1)
 
 
 class MonotonicityGraph:
@@ -264,7 +264,7 @@ class MonotonicityGraph:
     def degree(self) -> int:
         """Magnitude of the most negative finite edge weight.  Edges between
         two constants are arithmetic facts, not constraints, and are ignored."""
-        return degree_norm(self.w, self.u)[0]
+        return int(degree_norm(self.w[None], self.u)[0][0])
 
     def restrict(self, keep: Iterable[str]) -> "MonotonicityGraph":
         """Maximal subgraph over ``keep`` ∪ Const (primed nodes dropped)."""
@@ -291,7 +291,7 @@ class MonotonicityGraph:
     def norm(self) -> int:
         """Size measure used by runtime metrics: degree plus the largest
         non-negative finite weight plus one; 0 for an edgeless graph."""
-        return degree_norm(self.w, self.u)[1]
+        return int(degree_norm(self.w[None], self.u)[1][0])
 
     # -- identity ----------------------------------------------------------
 
@@ -362,9 +362,12 @@ def compose(g: MonotonicityGraph, m: MonotonicityGraph) -> MonotonicityGraph:
 class RuleStack:
     """Closed, satisfiable transitional graphs over one universe, stacked as
     one (r, n, n) weight array for compose_batch, with the rule side of its
-    prefilter, its pivot nodes and its projection computed once."""
+    prefilter, its pivot nodes and its projection computed once.  ``probe``
+    holds the flat indices of the member entries the prefilter reads, each
+    variable's bounds against the first constant (None without constants);
+    pre_star screens its covering test on them too."""
 
-    __slots__ = ("u", "w", "_neg_bounds", "_member_bounds", "_pivots", "_proj")
+    __slots__ = ("u", "w", "probe", "_neg_bounds", "_pivots", "_proj")
 
     def __init__(self, vars: Iterable[str], consts: Iterable[int], w: np.ndarray):
         self.u = u = universe(vars, consts, True)
@@ -378,14 +381,14 @@ class RuleStack:
             # one edge from the rule and one from the member, is positive
             # iff the member's B[c, x] exceeds -A[x', c] (and symmetrically
             # B[x, c] against -A[c, x']); kept here as the flat indices of
-            # those member entries (a member lists its nv variables first) and
-            # the negated rule entries
+            # those member entries (a member lists its nv variables first),
+            # the probe, and the negated rule entries
             c, nv, m = u.index[u.consts[0]], len(u.vars), len(keep)
             self._neg_bounds = -np.concatenate((w[:, primed, c], w[:, c, primed]), axis=1)
-            self._member_bounds = np.concatenate((np.arange(nv) + nv * m, np.arange(nv) * m + nv))
+            self.probe = np.concatenate((np.arange(nv) + nv * m, np.arange(nv) * m + nv))
             self._pivots = primed + [c]
         else:
-            self._neg_bounds = None
+            self._neg_bounds = self.probe = None
             self._pivots = primed
 
     def __len__(self) -> int:
@@ -407,35 +410,47 @@ def close_rules(
     return ws[close_seeded(ws, u)]
 
 
-def compose_batch(rules: RuleStack, mw: np.ndarray) -> list[Optional[np.ndarray]]:
-    """The weights of compose(g, m) for every graph g of the stack and a
-    closed satisfiable plain member m with weights mw; unsatisfiable results
-    come back as None.
+# weights closed together by one step of compose_batch: bounds its temporaries
+_COMPOSE_CHUNK = 1 << 18
+
+
+def compose_batch(rules: RuleStack, mws: np.ndarray) -> list[Optional[np.ndarray]]:
+    """The weights of compose(g, m) for every member m of a frontier and
+    every graph g of the stack, member-major: entry i * len(rules) + j is
+    member i composed with rule j, None where unsatisfiable.  mws holds the
+    closed satisfiable plain members as a (k, m, m) stack, or one (m, m)
+    matrix as a frontier of one.
 
     Pairs where some primed variable's bounds against the first constant
-    conflict are rejected before any closure.  The others are closed
-    together, pivoting only over the primed nodes and one constant: both
-    operands are closed, so a path through an unprimed node collapses into
-    one rule edge, and in a closed graph the edges to and from any constant
-    are exact shifts of those of the first.  A positive cycle therefore
-    shows on the diagonal after these pivots, which is tested once."""
-    out: list[Optional[np.ndarray]] = [None] * len(rules)
+    conflict are rejected for the whole frontier at once, before any
+    closure.  The survivors are closed together, at most _COMPOSE_CHUNK
+    weights at a time, pivoting only over the primed nodes and one constant: both operands are closed, so a
+    path through an unprimed node collapses into one rule edge, and in a
+    closed graph the edges to and from any constant are exact shifts of
+    those of the first.  A positive cycle therefore shows on the diagonal
+    after these pivots, which is tested once."""
+    m = mws.shape[-1]
+    mws = mws.reshape(-1, m, m)
+    r = len(rules)
+    out: list[Optional[np.ndarray]] = [None] * (len(mws) * r)
     if rules._neg_bounds is None:
-        idx = np.arange(len(rules))
+        idx = np.arange(len(out))
     else:
-        ok = (mw.take(rules._member_bounds) <= rules._neg_bounds).all(axis=1)
-        idx = ok.nonzero()[0]
-    if not idx.size:
-        return out
-    ws = rules.w.take(idx, axis=0)
-    block = ws[:, rules.u.block, rules.u.block]
-    np.maximum(block, mw, out=block)
-    _close_stack(ws, rules._pivots)
-    sat = ws.diagonal(0, 1, 2).max(axis=1) <= 0
-    m = mw.shape[0]
-    proj = ws.reshape(len(idx), -1).take(rules._proj, axis=1).reshape(-1, m, m)
-    for t, s, pw in zip(idx.tolist(), sat.tolist(), proj):
-        if s:
+        probe = mws.reshape(-1, m * m).take(rules.probe, axis=1)
+        ok = (probe[:, None, :] <= rules._neg_bounds[None, :, :]).all(axis=2)
+        idx = ok.ravel().nonzero()[0]
+    n = rules.w.shape[-1]
+    step = max(1, _COMPOSE_CHUNK // (n * n))
+    for c in range(0, len(idx), step):
+        part = idx[c : c + step]
+        member, rule = np.divmod(part, r)
+        ws = rules.w.take(rule, axis=0)
+        block = ws[:, rules.u.block, rules.u.block]
+        np.maximum(block, mws.take(member, axis=0), out=block)
+        _close_stack(ws, rules._pivots)
+        sat = ws.diagonal(0, 1, 2).max(axis=1) <= 0
+        proj = ws[sat].reshape(-1, n * n).take(rules._proj, axis=1).reshape(-1, m, m)
+        for t, pw in zip(part[sat].tolist(), proj):
             out[t] = pw
     return out
 

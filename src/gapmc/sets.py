@@ -5,10 +5,20 @@ A SymbolicSet holds its members as one (m, n, n) weight stack over a fixed
 covers another (an antichain under ⊑), and the rows are sorted by their
 bytes; _normalise establishes it for every operation.  No rows denote the
 empty set; one row without constraints, all valuations.
+
+Backward reachability (pre_star, reaches) explores its pool breadth first,
+one layer at a time: the rows added by the previous layer are composed with
+every rule in one compose_batch call, and the results are tested for
+covering in one screened pass.  Taken in (member, rule) order, a result that
+an earlier one of its layer covers is dropped too, and the first that meets
+the early-stop valuation or breaches the pool cap ends the query; so the
+pool, the verdict and the Metrics are those of adding the results one at a
+time.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -52,15 +62,14 @@ class Metrics:
     constraint_count: int = 0
     nesting_depth: int = 0
 
-    def saw_graph(self, w: Optional[np.ndarray], u: Universe) -> None:
-        """Count one composition result: its weight matrix over the universe
-        u, or None if it is unsatisfiable."""
-        self.graphs_created += 1
-        if w is None:
-            return
-        degree, norm = degree_norm(w, u)
-        self.max_norm = max(self.max_norm, norm)
-        self.degree_bound = max(self.degree_bound, degree)
+    def saw_batch(self, pairs: int, ws: np.ndarray, u: Universe) -> None:
+        """Count ``pairs`` composition results, of which the satisfiable ones
+        are the rows of the weight stack ws over the universe u."""
+        self.graphs_created += pairs
+        if len(ws):
+            degree, norm = degree_norm(ws, u)
+            self.max_norm = max(self.max_norm, int(norm.max()))
+            self.degree_bound = max(self.degree_bound, int(degree.max()))
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -93,7 +102,7 @@ class SymbolicSet:
         return len(self.w) == 0
 
     def degree(self) -> int:
-        return max((degree_norm(w, self.u)[0] for w in self.w), default=0)
+        return int(degree_norm(self.w, self.u)[0].max(initial=0))
 
 
 def _normalise(u: Universe, ws, close: bool = True) -> SymbolicSet:
@@ -218,14 +227,11 @@ def pre_action(
         raise ValueError(f"unknown action {action!r}")
     if rules is None:
         rules = transitional_graphs(gcs, guard, (action,))
-    u, out = s.u, []
-    for mw in s.w:
-        for pw in compose_batch(rules, mw):
-            if metrics is not None:
-                metrics.saw_graph(pw, u)
-            if pw is not None:
-                out.append(pw)
-    return _normalise(u, out, close=False)
+    results = compose_batch(rules, s.w)
+    ws = _stack(s.u, [pw for pw in results if pw is not None])
+    if metrics is not None:
+        metrics.saw_batch(len(results), ws, s.u)
+    return _normalise(s.u, ws, close=False)
 
 
 def transitional_graphs(
@@ -254,10 +260,10 @@ def pre_star(
     """All valuations that can reach Sat(s), using only transitions whose
     label is in ``actions`` (default: all), each step additionally satisfying
     ``guard``; ``rules``, if given, must be transitional_graphs(gcs, guard,
-    actions).  Worklist exploration of predecessor graphs, pruning any new
-    graph already covered by a pool member; terminates because composition
-    with degree-0 rule graphs never raises the degree and covering is a
-    well-order at fixed degree."""
+    actions).  Breadth-first exploration of predecessor graphs, one layer
+    per step, pruning any new graph already covered by a pool member;
+    terminates because composition with degree-0 rule graphs never raises
+    the degree and covering is a well-order at fixed degree."""
     pool = _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules)
     return _normalise(s.u, pool, close=False)
 
@@ -297,32 +303,80 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
         if bool((diff >= s.w).all(axis=(1, 2)).any()):
             return True
     # the pool is an amortized-growth stack, for a vectorized covering test;
-    # its rows from index head on are the worklist, in FIFO order
+    # its rows from index head on are the worklist, explored one BFS layer
+    # [head, n_pool) per compose_batch call
     n_pool, head = len(s.w), 0
     pool = np.empty((max(16, 2 * n_pool),) + s.w.shape[1:])
     pool[:n_pool] = s.w
     while head < n_pool and len(rules):
-        head += 1
-        for pw in compose_batch(rules, pool[head - 1]):
-            if metrics is not None:
-                metrics.saw_graph(pw, s.u)
-            if pw is None:
-                continue  # unsatisfiable composition
-            if bool((pool[:n_pool] <= pw).all(axis=(1, 2)).any()):
-                continue
-            if stop_at is not None and (diff >= pw).all():
-                return True
-            if n_pool == pool.shape[0]:
-                pool = np.concatenate([pool, np.empty_like(pool)])
-            pool[n_pool] = pw
-            n_pool += 1
-            if metrics is not None:
-                metrics.pool_size = max(metrics.pool_size, n_pool)
-            if max_pool is not None and n_pool > max_pool:
-                raise PoolLimitExceeded(
-                    f"reachability pool exceeded the cap of {max_pool} graphs"
-                )
+        results = compose_batch(rules, pool[head:n_pool])
+        head = n_pool
+        sat = [t for t, pw in enumerate(results) if pw is not None]
+        ws = _stack(s.u, [results[t] for t in sat])
+        # the results no pool row and no earlier result covers: by transitivity
+        # of covering, those that adding them one at a time would keep
+        fresh = (~_covered(pool[:n_pool], ws, rules.probe)).nonzero()[0]
+        # the first fresh result that meets the valuation, or that breaches
+        # the cap, ends the query; one at a time, nothing after it was seen
+        stop = len(fresh)
+        if stop_at is not None:
+            hits = (diff >= ws[fresh]).all(axis=(1, 2)).nonzero()[0]
+            stop = int(hits[0]) if hits.size else stop
+        cap = stop if max_pool is None else min(stop, max(0, max_pool - n_pool))
+        if metrics is not None:
+            last = len(results) - 1 if cap == len(fresh) else sat[fresh[cap]]
+            metrics.saw_batch(last + 1, ws[: bisect.bisect_right(sat, last)], s.u)
+        added = cap + (cap < stop)
+        if n_pool + added > len(pool):
+            grow = np.empty((max(n_pool, added),) + pool.shape[1:])
+            pool = np.concatenate([pool[:n_pool], grow])
+        pool[n_pool : n_pool + added] = ws[fresh[:added]]
+        n_pool += added
+        if metrics is not None and added:
+            metrics.pool_size = max(metrics.pool_size, n_pool)
+        if cap < stop:
+            raise PoolLimitExceeded(f"reachability pool exceeded the cap of {max_pool} graphs")
+        if stop < len(fresh):
+            return True
     return pool[:n_pool]
+
+
+# elements in the largest temporary of one step of the covering test
+_COVER_CHUNK = 1 << 18
+
+
+def _covered(pool: np.ndarray, ws: np.ndarray, probe: Optional[np.ndarray]) -> np.ndarray:
+    """The mask of the rows of ws that a row of pool or an earlier row of ws
+    covers (p ⊑ w iff p <= w entrywise).  Pairs are screened on the flat
+    entries probe (all entries if None) and compared in full only where the
+    screen passes, in chunks of at most _COVER_CHUNK elements."""
+    out = np.zeros(len(ws), dtype=bool)
+    if not len(ws):
+        return out
+    size = ws.shape[-1] ** 2
+    flat = ws.reshape(-1, size)
+    keys = flat if probe is None else flat.take(probe, axis=1)
+    pairs = max(1, _COVER_CHUNK // size)
+    # a lone result has no earlier result of its layer to be covered by
+    sources = (pool.reshape(-1, size), flat) if len(ws) > 1 else (pool.reshape(-1, size),)
+    for earlier in sources:
+        ekeys = earlier if probe is None else earlier.take(probe, axis=1)
+        rows = max(1, _COVER_CHUNK // max(1, len(earlier) * keys.shape[1]))
+        for a in range(0, len(ws), rows):
+            hit = (ekeys[None] <= keys[a : a + rows, None]).all(axis=2)
+            if earlier is flat:
+                hit &= np.tri(len(hit), len(ws), a - 1, dtype=bool)
+            i, j = hit.nonzero()
+            for p in range(0, len(i), pairs):
+                ii, jj = i[p : p + pairs], j[p : p + pairs]
+                out[a + ii[(earlier[jj] <= flat[a + ii]).all(axis=1)]] = True
+    return out
+
+
+def _stack(u: Universe, ws: Sequence[np.ndarray]) -> np.ndarray:
+    """The plain weight matrices ws over u as one (len(ws), m, m) stack."""
+    m = len(u.nodes)
+    return np.array(ws, dtype=float).reshape(len(ws), m, m)
 
 
 def _check_universe(s: SymbolicSet, t: SymbolicSet) -> None:

@@ -2,12 +2,16 @@
 
 import json
 import pathlib
+import random
 import re
 import shlex
 
 import pytest
 
+from gapmc import oracle
 from gapmc.cli import main
+from gapmc.frontend import serialize_formula, serialize_gcs, serialize_valuation
+from gapmc.logic import Ef
 
 COUNTDOWN = """
 gcs {
@@ -238,6 +242,10 @@ def test_denote_output_matches_golden_files(system_file, tmp_path, capsys):
     (["check", "{sys}", "x=1, y=0", "AG[zz] (x >= 0)"], "unknown action 'zz'"),
     (["denote", "{sys}", "EF[a,zz] (x >= 0)"], "unknown action 'zz'"),
     (["prestar", "{sys}", "{dir}/origin.json", "--actions", "zz"], "unknown action 'zz'"),
+    # counts are not negative
+    (["check", "{sys}", "x=1, y=0", "EF (x = 0)", "--max-pool", "-1"],
+     "--max-pool must not be negative, got -1"),
+    (["oracle", "diff", "--cases", "-1"], "--cases must not be negative, got -1"),
 ])
 def test_bad_inputs_exit_2_without_a_traceback(argv, message, system_file, tmp_path, capsys):
     (tmp_path / "loop.lts").write_text("s -a-> s\n")
@@ -345,3 +353,30 @@ def test_readme_quick_start_commands(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         if target:
             pathlib.Path(target).write_text(out)
+
+
+def test_check_verdicts_agree_with_the_window_oracle(tmp_path, capsys):
+    # random window-closed systems written as files, random formulas (half
+    # of them under a top-level EF, the early-stop path) at random window
+    # states: exit 0 or 1 is the explicit search's verdict
+    rng = random.Random(44)
+    verdicts = {0: 0, 1: 0}
+    for case in range(250):
+        g = oracle.random_window_closed_gcs(rng)
+        window = oracle.WindowGraph(g, 0, 4)
+        path = tmp_path / f"system{case}.gcs"
+        path.write_text(serialize_gcs(g))
+        for _ in range(3):
+            f = oracle.random_formula(rng, g, depth=3)
+            if rng.random() < 0.5:
+                f = Ef(f)
+            v = rng.choice(window.states)
+            code = main(["check", str(path), serialize_valuation(v), serialize_formula(f)])
+            captured = capsys.readouterr()
+            if code == 2:
+                assert captured.err.startswith("error:") and "Traceback" not in captured.err
+                continue
+            assert code == (0 if oracle.explicit_check(window, v, f) else 1), (g, v, f)
+            assert captured.out == ("true\n" if code == 0 else "false\n")
+            verdicts[code] += 1
+    assert min(verdicts.values()) >= 250, verdicts

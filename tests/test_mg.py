@@ -330,7 +330,7 @@ def test_compose_batch_matches_compose(vars, consts):
     # compose runs the full closure over every node and stays the reference
     rng = random.Random(40)
     unsat = unsat_graph(vars, consts)
-    results = {"sat": 0, "unsat": 0}
+    results = {"sat": 0, "unsat": 0, "frontiers": 0}
     for i in range(40):
         positive = i % 2 == 0
         rules = [
@@ -343,6 +343,7 @@ def test_compose_batch_matches_compose(vars, consts):
             for _ in range(rng.randint(1, 6))
         ]
         stack = RuleStack(vars, consts, np.stack([g.w for g in rules]))
+        singles, members = [], []
         for _ in range(10):
             m = _closed_sat(rng, lambda r: random_plain_mg(r, vars, consts, max_clauses=5))
             got = compose_batch(stack, m.w)
@@ -355,7 +356,43 @@ def test_compose_batch_matches_compose(vars, consts):
                 else:
                     assert p is not None and p.tobytes() == ref.w.tobytes()
                     results["sat"] += 1
+            singles += got
+            members.append(m.w)
+        # a (k, m, m) frontier gives the single-member results, member-major
+        k = i % (len(members) + 1)
+        frontier = compose_batch(stack, np.array(members[:k]).reshape(k, *m.w.shape))
+        assert len(frontier) == k * len(rules)
+        for p, q in zip(frontier, singles):
+            assert (p is None) == (q is None)
+            assert p is None or p.tobytes() == q.tobytes()
+        results["frontiers"] += k > 1
     assert results["sat"] >= 100 and results["unsat"] >= 100
+    assert compose_batch(stack, np.empty((0,) + members[0].shape)) == []
+    assert results["frontiers"] >= 20
+
+
+def test_compose_batch_in_small_chunks(monkeypatch):
+    # a frontier closed a few pairs at a time gives the same entries
+    rng = random.Random(42)
+    vars, consts = ("x", "y"), (0, 2)
+    rules = [
+        _closed_sat(rng, lambda r: random_transitional_mg(r, vars, consts, max_clauses=6))
+        for _ in range(5)
+    ]
+    stack = RuleStack(vars, consts, np.stack([g.w for g in rules]))
+    members = np.stack([
+        _closed_sat(rng, lambda r: random_plain_mg(r, vars, consts, max_clauses=4)).w
+        for _ in range(30)
+    ])
+    whole = compose_batch(stack, members)
+    n = stack.w.shape[-1]
+    monkeypatch.setattr("gapmc.mg._COMPOSE_CHUNK", 3 * n * n)
+    chunked = compose_batch(stack, members)
+    assert len(whole) == len(chunked) == 150
+    assert sum(p is not None for p in whole) >= 10
+    for p, q in zip(whole, chunked):
+        assert (p is None) == (q is None)
+        assert p is None or p.tobytes() == q.tobytes()
 
 
 def test_close_rules_matches_per_rule_closure():

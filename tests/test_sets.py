@@ -6,8 +6,21 @@ from collections import deque
 import numpy as np
 import pytest
 
-from gapmc import logic
-from gapmc.mg import NEG_INF, POS_INF, Clause, compose, covers, from_constraint
+from gapmc import logic, oracle, sets
+from gapmc.gcs import Gcs, TransitionRule
+from gapmc.mg import (
+    NEG_INF,
+    POS_INF,
+    Clause,
+    MonotonicityGraph,
+    compose,
+    compose_batch,
+    covers,
+    degree_norm,
+    differences,
+    from_constraint,
+    is_const,
+)
 from gapmc.reductions import BAnd, BNot, BOr, BVar, Qbf, qbf_to_gcs
 from gapmc.sets import (
     GuardError,
@@ -26,6 +39,7 @@ from gapmc.sets import (
     reaches,
     same_set,
     subset_of,
+    transitional_graphs,
     union,
 )
 
@@ -464,3 +478,150 @@ def test_reaches_agrees_with_pre_star(countdown):
     for _ in range(200):
         v = random_valuation(rng, VARS)
         assert reaches(countdown, v, target) == contains(star, v)
+
+
+# -- pre_star explores one BFS layer per compose_batch call ------------------------------
+
+
+def _one_at_a_time_pool(gcs, s, guard, actions, metrics, max_pool, stop_at, seen):
+    """The pre_star pool explored one member at a time, each composition
+    result tested against the pool as it stands and counted as it comes: the
+    loop that frontier batching replaced, kept as its reference.  Returns the
+    pool stack, True on an early-stop hit, or raises PoolLimitExceeded;
+    counts in seen the results that only a row of their own layer covers."""
+    metrics.dimension = len(s.u.nodes) ** 2
+    metrics.constants_magnitude = max((abs(c) for c in s.consts), default=0)
+    metrics.constraint_count = len(gcs.rules)
+    rules = transitional_graphs(gcs, guard, actions)
+    diff = None if stop_at is None else differences(s.u.nodes, stop_at)
+    if diff is not None and any((diff >= w).all() for w in s.w):
+        return True
+    pool, head, layer_end = list(s.w), 0, len(s.w)
+    while head < len(pool) and len(rules):
+        if head == layer_end:
+            layer_end = len(pool)
+        head += 1
+        for pw in compose_batch(rules, pool[head - 1]):
+            metrics.graphs_created += 1
+            if pw is None:
+                continue
+            degree, norm = degree_norm(pw[None], s.u)
+            metrics.max_norm = max(metrics.max_norm, int(norm[0]))
+            metrics.degree_bound = max(metrics.degree_bound, int(degree[0]))
+            covered = [i for i, p in enumerate(pool) if (p <= pw).all()]
+            if covered:
+                seen["covered in layer"] += covered[0] >= layer_end
+                continue
+            if diff is not None and (diff >= pw).all():
+                return True
+            pool.append(pw)
+            metrics.pool_size = max(metrics.pool_size, len(pool))
+            if max_pool is not None and len(pool) > max_pool:
+                raise PoolLimitExceeded(f"reachability pool exceeded the cap of {max_pool} graphs")
+    return np.array(pool).reshape(len(pool), *s.w.shape[1:])
+
+
+def _explore(explore):
+    """(pool bytes, True or the cap's message; the Metrics fields) of
+    explore(metrics)."""
+    metrics = Metrics()
+    try:
+        out = explore(metrics)
+    except PoolLimitExceeded as e:
+        out = str(e)
+    return (out if out is True or isinstance(out, str) else out.tobytes()), metrics.as_dict()
+
+
+def _without_constants(g):
+    def plain(c):
+        return not (is_const(c.left) or is_const(c.right))
+
+    rules = tuple(TransitionRule(r.name, tuple(filter(plain, r.clauses)), r.label) for r in g.rules)
+    return Gcs(g.vars, (), g.acts, rules)
+
+
+@pytest.mark.parametrize("cover_chunk", [None, 7], ids=["one-chunk", "small-chunks"])
+def test_pre_star_pool_matches_one_at_a_time(cover_chunk, monkeypatch):
+    # pool rows, verdict or cap, and every Metrics field, over random systems
+    # with and without constants, guards, action filters, early-stop
+    # valuations and caps; small chunks split the covering test's steps
+    if cover_chunk is not None:
+        monkeypatch.setattr(sets, "_COVER_CHUNK", cover_chunk)
+    rng = random.Random(38)
+    seen = dict.fromkeys(("no constants", "hit", "cap", "cap mid-member", "pool"), 0)
+    seen["covered in layer"] = 0
+    for i in range(500):
+        g = oracle.random_window_closed_gcs(rng)
+        if i % 3 == 0 and len(g.vars) > 1:
+            g = _without_constants(g)
+            seen["no constants"] += 1
+        terms = list(g.vars) + [v + "'" for v in g.vars] + list(g.consts)
+        guard = tuple(
+            Clause(*rng.sample(terms, 2), rng.randint(0, 1)) for _ in range(rng.randint(0, 1))
+        )
+        actions = None if rng.random() < 0.5 else tuple(rng.sample(g.acts, 1))
+        graphs = [
+            random_plain_mg(rng, g.vars, g.consts, 3, -2, 4) for _ in range(rng.randint(1, 3))
+        ]
+        s = make_set(g.vars, g.consts, graphs)
+        stop_at = None if rng.random() < 0.6 else {x: rng.randint(-1, 5) for x in g.vars}
+        max_pool = None if rng.random() < 0.5 else len(s.w) + rng.randint(-1, 1)
+        got = _explore(
+            lambda m: sets._pre_star_pool(g, s, guard, actions, m, max_pool, None, stop_at)
+        )
+        expect = _explore(
+            lambda m: _one_at_a_time_pool(g, s, guard, actions, m, max_pool, stop_at, seen)
+        )
+        assert got == expect
+        out, metrics = expect
+        r = len(transitional_graphs(g, guard, actions))
+        seen["hit"] += out is True
+        seen["cap"] += isinstance(out, str)
+        seen["cap mid-member"] += isinstance(out, str) and metrics["graphs_created"] % r != 0
+        seen["pool"] += isinstance(out, bytes)
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_pre_star_layer_with_no_satisfiable_pair(countdown):
+    # x < 0 and y < 0: both rules need a primed variable >= 0, so every
+    # pair of the first layer is rejected by the prefilter
+    target = aset(Clause(0, "x", 1), Clause(0, "y", 1))
+    for stop_at, max_pool in ((None, None), ({"x": 0, "y": 0}, 1)):
+        metrics = Metrics()
+        got = sets._pre_star_pool(countdown, target, (), None, metrics, max_pool, None, stop_at)
+        assert got.tobytes() == target.w.tobytes()
+        assert metrics.graphs_created == 2 and metrics.pool_size == 0 and metrics.max_norm == 0
+    # x < 0 and y > 0: CX is prefiltered away, and CY's one result
+    # (x < 0, y > 1) is covered by the target, so the layer adds nothing
+    target = aset(Clause(0, "x", 1), Clause("y", 0, 1))
+    metrics = Metrics()
+    got = sets._pre_star_pool(countdown, target, (), None, metrics, None, None)
+    assert got.tobytes() == target.w.tobytes()
+    assert metrics.graphs_created == 2 and metrics.pool_size == 0 and metrics.max_norm > 0
+
+
+def test_pre_star_composes_once_per_layer(countdown, monkeypatch):
+    # the README countdown from x = 0 & y = 0: one compose_batch call per BFS
+    # layer, the layers counted by the one-at-a-time reference
+    target = aset(*XY_ZERO)
+    depth = {0: 0}
+    rules = transitional_graphs(countdown)
+    pool, head = list(target.w), 0
+    while head < len(pool):
+        for pw in compose_batch(rules, pool[head]):
+            if pw is not None and not any((p <= pw).all() for p in pool):
+                depth[len(pool)] = depth[head] + 1
+                pool.append(pw)
+        head += 1
+    calls = []
+
+    def counting(rules, mws):
+        calls.append(len(mws))
+        return compose_batch(rules, mws)
+
+    monkeypatch.setattr(sets, "compose_batch", counting)
+    star = pre_star(countdown, target)
+    layers = max(depth.values()) + 1
+    assert len(calls) == layers and sum(calls) == len(pool)
+    assert 1 < layers < len(pool)
+    assert same_set(star, make_set(VARS, CONSTS, [MonotonicityGraph(VARS, CONSTS, False, w) for w in pool]))
