@@ -52,9 +52,9 @@ def _load_system(path: str):
 
 
 def _check_actions(g, actions) -> None:
-    """Refuse an action that the system does not declare.  The engine lets
-    an EF filter name such an action, as one no rule carries (bisim's weak
-    formulas use tau that way); given on the command line, it is a mistake."""
+    """Refuse an action that the system does not declare.  The engine takes
+    such an action as one that no rule carries (bisim's weak formulas use tau
+    that way); given on the command line, it is a mistake."""
     unknown = sorted(set(actions) - set(g.acts))
     if unknown:
         raise ValueError(f"unknown action {unknown[0]!r}")

@@ -566,7 +566,7 @@ def mg_from_json(doc: dict) -> MonotonicityGraph:
     consts = tuple(n for n in nodes if is_const(n))
     transitional = any(is_primed(n) for n in nodes)
     g = MonotonicityGraph(vars, consts, transitional)
-    idx = g.index()
+    idx = g.u.index
     w = np.full(g.w.shape, NEG_INF)
     for e in doc.get("edges", []):
         if not (isinstance(e, dict) and {"from", "to", "weight"} <= e.keys()):

@@ -200,6 +200,7 @@ class _Evaluation:
     def __init__(self, g: Gcs, f: Formula, metrics: Optional[Metrics], max_pool):
         self.g, self.max_pool = g, max_pool
         self.metrics = metrics = metrics if metrics is not None else Metrics()
+        metrics.saw_system(g)
         self.conj: set[int] = set()  # interned conjunctions of atoms only
         self.stacks: dict[tuple, RuleStack] = {}
         self.root = self.intern(f)

@@ -40,9 +40,8 @@ class Clause(NamedTuple):
     def is_positive(self) -> bool:
         return self.k >= 0
 
-    def negated(self) -> "Clause":
-        # not(x - y >= k)  <=>  y - x >= -k + 1
-        return Clause(self.right, self.left, -self.k + 1)
+    def __str__(self) -> str:
+        return f"{self.left} - {self.right} >= {self.k}"
 
 
 def prime(name: str) -> str:
@@ -55,10 +54,6 @@ def is_primed(node: Node) -> bool:
 
 def is_const(node: Node) -> bool:
     return isinstance(node, int)
-
-
-class UnsatisfiableGraphError(ValueError):
-    """Raised when an operation requires a satisfiable graph."""
 
 
 def _close_stack(ws: np.ndarray, pivots: Iterable[int]) -> None:
@@ -103,13 +98,6 @@ class Universe:
     primed: range  # positions of the primed variables, if transitional
     block: Optional[slice]  # the primed variables and constants, if transitional
     plain: np.ndarray  # positions of the unprimed variables and constants
-
-    @functools.cached_property
-    def unsat(self) -> "MonotonicityGraph":
-        """The canonical explicitly unsatisfiable plain graph of the universe
-        (all weights +inf); one shared instance per record."""
-        n = len(self.plain)
-        return MonotonicityGraph(self.vars, self.consts, False, np.full((n, n), POS_INF), closed=True)
 
 
 def universe(vars: Iterable[str], consts: Iterable[int], transitional: bool = False) -> Universe:
@@ -217,18 +205,12 @@ class MonotonicityGraph:
         self.w.setflags(write=False)
         self.closed = closed
 
-    def nodes(self) -> list[Node]:
-        return list(self.u.nodes)
-
-    def index(self) -> Mapping[Node, int]:
-        return self.u.index
-
     def weight(self, x: Node, y: Node) -> float:
         return float(self.w[self.u.index[x], self.u.index[y]])
 
     def edges(self) -> list[tuple[Node, Node, float]]:
         """All stored edges with weight > -inf, in canonical node order."""
-        ns = self.nodes()
+        ns = self.u.nodes
         out = []
         for i, x in enumerate(ns):
             for j, y in enumerate(ns):
@@ -275,13 +257,8 @@ class MonotonicityGraph:
         w = self.w[np.ix_(sel, sel)].copy()
         return MonotonicityGraph(sorted(keep), self.consts, False, w, self.closed)
 
-    def project(self, keep: Iterable[str]) -> "MonotonicityGraph":
-        """Restriction of the closure; keeps exactly the satisfying
-        assignments of this graph restricted to ``keep``."""
-        return self.closure().restrict(keep)
-
     def intersect(self, other: "MonotonicityGraph") -> "MonotonicityGraph":
-        if self.nodes() != other.nodes():
+        if self.u.nodes != other.u.nodes:
             raise ValueError("intersection requires an identical node universe")
         return self.with_weights(np.maximum(self.w, other.w))
 
@@ -332,7 +309,7 @@ def covers(n: MonotonicityGraph, m: MonotonicityGraph) -> bool:
     """True iff m covers n (n ⊑ m): every closure weight of n is at most the
     corresponding weight of m.  Implies Sat(n) ⊇ Sat(m)."""
     nc, mc = n.closure(), m.closure()
-    if nc.nodes() != mc.nodes():
+    if nc.u.nodes != mc.u.nodes:
         raise ValueError("covering requires an identical node universe")
     return bool((nc.w <= mc.w).all())
 
@@ -342,10 +319,10 @@ def compose(g: MonotonicityGraph, m: MonotonicityGraph) -> MonotonicityGraph:
     copies, intersect with the transitional graph g, project onto the
     unprimed variables.  Satisfied exactly by the g-predecessors of Sat(m).
 
-    The result of an unsatisfiable combination is the shared unsat_graph
-    (satisfiability can be lost in the projected-away primed part, so it is
-    checked before projecting).  This full closure over every node is the
-    reference that compose_batch is tested against."""
+    The result of an unsatisfiable combination is the closed plain graph with
+    every weight +inf (satisfiability can be lost in the projected-away primed
+    part, so it is checked before projecting).  This full closure over every
+    node is the reference that compose_batch is tested against."""
     if not g.transitional or m.transitional:
         raise ValueError("compose expects a transitional g and a plain m")
     if g.vars != m.vars or g.consts != m.consts:
@@ -355,7 +332,8 @@ def compose(g: MonotonicityGraph, m: MonotonicityGraph) -> MonotonicityGraph:
     np.maximum(block, m.w, out=block)
     c = g.with_weights(w).closure()
     if np.isposinf(c.w).any():
-        return unsat_graph(g.vars, g.consts)
+        n = len(g.u.plain)
+        return MonotonicityGraph(g.vars, g.consts, False, np.full((n, n), POS_INF), closed=True)
     return c.restrict(g.vars)
 
 
@@ -453,17 +431,3 @@ def compose_batch(rules: RuleStack, mws: np.ndarray) -> list[Optional[np.ndarray
         for t, pw in zip(part[sat].tolist(), proj):
             out[t] = pw
     return out
-
-
-def unsat_graph(vars: Iterable[str], consts: Iterable[int]) -> MonotonicityGraph:
-    """The canonical explicitly unsatisfiable plain graph of a universe
-    (all weights +inf); one shared instance per universe record."""
-    return universe(vars, consts).unsat
-
-
-def canonicalize(m: MonotonicityGraph) -> MonotonicityGraph:
-    """Closed canonical form; equal for any two graphs with the same closure."""
-    c = m.closure()
-    if np.isposinf(c.w).any():
-        raise UnsatisfiableGraphError("cannot canonicalize an unsatisfiable graph")
-    return c

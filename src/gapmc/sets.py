@@ -8,17 +8,15 @@ empty set; one row without constraints, all valuations.
 
 Backward reachability (pre_star, reaches) explores its pool breadth first,
 one layer at a time: the rows added by the previous layer are composed with
-every rule in one compose_batch call, and the results are tested for
-covering in one screened pass.  Taken in (member, rule) order, a result that
-an earlier one of its layer covers is dropped too, and the first that meets
-the early-stop valuation or breaches the pool cap ends the query; so the
-pool, the verdict and the Metrics are those of adding the results one at a
-time.
+every rule in one compose_batch call, and the results, in (member, rule)
+order after the pool rows of the same stack, are tested for covering by any
+earlier row in one screened pass.  The first uncovered result that meets the
+early-stop valuation or breaches the pool cap ends the query; so the pool,
+the verdict and the Metrics are those of adding the results one at a time.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -46,7 +44,7 @@ class PoolLimitExceeded(RuntimeError):
 
 
 class GuardError(ValueError):
-    """A reachability guard contained a non-positive clause."""
+    """A reachability guard or rule contained a non-positive clause."""
 
 
 @dataclass
@@ -70,6 +68,12 @@ class Metrics:
             degree, norm = degree_norm(ws, u)
             self.max_norm = max(self.max_norm, int(norm.max()))
             self.degree_bound = max(self.degree_bound, int(degree.max()))
+
+    def saw_system(self, gcs) -> None:
+        """Record the size of gcs: node pairs, rules and largest constant."""
+        self.dimension = len(universe(gcs.vars, gcs.consts).nodes) ** 2
+        self.constants_magnitude = max(map(abs, gcs.consts), default=0)
+        self.constraint_count = len(gcs.rules)
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -133,10 +137,6 @@ def make_set(
     if any(g.vars != u.vars or g.consts != u.consts or g.transitional for g in graphs):
         raise ValueError("member graph universe does not match the set's")
     return _normalise(u, [g.w for g in graphs])
-
-
-def empty_set(vars: Iterable[str], consts: Iterable[int]) -> SymbolicSet:
-    return make_set(vars, consts, ())
 
 
 def full_set(vars: Iterable[str], consts: Iterable[int]) -> SymbolicSet:
@@ -221,16 +221,14 @@ def pre_action(
     rules: Optional[RuleStack] = None,
 ) -> SymbolicSet:
     """Predecessors of s over all rules carrying the given action label, each
-    step also satisfying the guard (which may hold non-positive clauses).
-    ``rules``, if given, must be transitional_graphs(gcs, guard, (action,))."""
-    if action not in gcs.acts:
-        raise ValueError(f"unknown action {action!r}")
+    step also satisfying the guard (which may hold non-positive clauses); an
+    action that no rule carries makes no step.  ``rules``, if given, must be
+    transitional_graphs(gcs, guard, (action,))."""
     if rules is None:
         rules = transitional_graphs(gcs, guard, (action,))
     results = compose_batch(rules, s.w)
-    ws = _stack(s.u, [pw for pw in results if pw is not None])
-    if metrics is not None:
-        metrics.saw_batch(len(results), ws, s.u)
+    ws = np.array([pw for pw in results if pw is not None]).reshape(-1, *s.w.shape[1:])
+    (metrics or Metrics()).saw_batch(len(results), ws, s.u)
     return _normalise(s.u, ws, close=False)
 
 
@@ -264,7 +262,7 @@ def pre_star(
     per step, pruning any new graph already covered by a pool member;
     terminates because composition with degree-0 rule graphs never raises
     the degree and covering is a well-order at fixed degree."""
-    pool = _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules)
+    pool = _pre_star_pool(gcs, s, guard, actions, metrics or Metrics(), max_pool, rules)
     return _normalise(s.u, pool, close=False)
 
 
@@ -283,19 +281,22 @@ def reaches(
     explored predecessor graph witnesses it (every pool graph denotes a
     subset of the reachability set, so an early hit is sound)."""
     check_valuation(s.vars, valuation)
+    metrics = metrics or Metrics()
     return _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, valuation) is True
 
 
 def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=None):
     """The explored pool of pre_star, or True as soon as a pool graph is
-    satisfied by the valuation ``stop_at``."""
+    satisfied by the valuation ``stop_at``.  Refuses a non-positive guard
+    clause, and a non-positive clause in a rule the query may take: with
+    one, pre* need not be finite under covering."""
     for c in guard:
         if not c.is_positive():
             raise GuardError(f"reachability guards must be positive, got {c}")
-    if metrics is not None:
-        metrics.dimension = len(s.u.nodes) ** 2
-        metrics.constants_magnitude = max((abs(c) for c in s.consts), default=0)
-        metrics.constraint_count = len(gcs.rules)
+    for r, c in [(r, c) for r in gcs.rules for c in r.clauses if c.k < 0]:
+        if actions is None or r.label in actions:
+            raise GuardError(f"reachability needs positive rules: rule {r.name} has {c}")
+    metrics.saw_system(gcs)
     if rules is None:
         rules = transitional_graphs(gcs, guard, actions)
     if stop_at is not None and not s.is_empty():
@@ -304,7 +305,8 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
             return True
     # the pool is an amortized-growth stack, for a vectorized covering test;
     # its rows from index head on are the worklist, explored one BFS layer
-    # [head, n_pool) per compose_batch call
+    # [head, n_pool) per compose_batch call, whose satisfiable results are
+    # written after the pool and screened there before the kept ones stay
     n_pool, head = len(s.w), 0
     pool = np.empty((max(16, 2 * n_pool),) + s.w.shape[1:])
     pool[:n_pool] = s.w
@@ -312,27 +314,28 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
         results = compose_batch(rules, pool[head:n_pool])
         head = n_pool
         sat = [t for t, pw in enumerate(results) if pw is not None]
-        ws = _stack(s.u, [results[t] for t in sat])
-        # the results no pool row and no earlier result covers: by transitivity
-        # of covering, those that adding them one at a time would keep
-        fresh = (~_covered(pool[:n_pool], ws, rules.probe)).nonzero()[0]
+        if n_pool + len(sat) > len(pool):
+            grow = np.empty((max(n_pool, len(sat)),) + pool.shape[1:])
+            pool = np.concatenate([pool[:n_pool], grow])
+        pool[n_pool : n_pool + len(sat)] = np.reshape([results[t] for t in sat], (-1, *s.w.shape[1:]))
+        # the results no earlier row covers: by transitivity of covering,
+        # those that adding them one at a time would keep
+        fresh = (~_covered(pool[: n_pool + len(sat)], n_pool, rules.probe)).nonzero()[0]
         # the first fresh result that meets the valuation, or that breaches
         # the cap, ends the query; one at a time, nothing after it was seen
         stop = len(fresh)
         if stop_at is not None:
-            hits = (diff >= ws[fresh]).all(axis=(1, 2)).nonzero()[0]
+            hits = (diff >= pool[n_pool + fresh]).all(axis=(1, 2)).nonzero()[0]
             stop = int(hits[0]) if hits.size else stop
         cap = stop if max_pool is None else min(stop, max(0, max_pool - n_pool))
-        if metrics is not None:
-            last = len(results) - 1 if cap == len(fresh) else sat[fresh[cap]]
-            metrics.saw_batch(last + 1, ws[: bisect.bisect_right(sat, last)], s.u)
+        rows, pairs = len(sat), len(results)
+        if cap < len(fresh):
+            rows, pairs = fresh[cap] + 1, sat[fresh[cap]] + 1
+        metrics.saw_batch(pairs, pool[n_pool : n_pool + rows], s.u)
         added = cap + (cap < stop)
-        if n_pool + added > len(pool):
-            grow = np.empty((max(n_pool, added),) + pool.shape[1:])
-            pool = np.concatenate([pool[:n_pool], grow])
-        pool[n_pool : n_pool + added] = ws[fresh[:added]]
+        pool[n_pool : n_pool + added] = pool[n_pool + fresh[:added]]
         n_pool += added
-        if metrics is not None and added:
+        if added:
             metrics.pool_size = max(metrics.pool_size, n_pool)
         if cap < stop:
             raise PoolLimitExceeded(f"reachability pool exceeded the cap of {max_pool} graphs")
@@ -345,38 +348,26 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
 _COVER_CHUNK = 1 << 18
 
 
-def _covered(pool: np.ndarray, ws: np.ndarray, probe: Optional[np.ndarray]) -> np.ndarray:
-    """The mask of the rows of ws that a row of pool or an earlier row of ws
+def _covered(rows: np.ndarray, start: int, probe: Optional[np.ndarray]) -> np.ndarray:
+    """The mask of the rows of rows[start:] that an earlier row of rows
     covers (p ⊑ w iff p <= w entrywise).  Pairs are screened on the flat
     entries probe (all entries if None) and compared in full only where the
     screen passes, in chunks of at most _COVER_CHUNK elements."""
-    out = np.zeros(len(ws), dtype=bool)
-    if not len(ws):
-        return out
-    size = ws.shape[-1] ** 2
-    flat = ws.reshape(-1, size)
+    size = rows.shape[-1] ** 2
+    flat = rows.reshape(-1, size)
     keys = flat if probe is None else flat.take(probe, axis=1)
+    out = np.zeros(len(rows) - start, dtype=bool)
+    step = max(1, _COVER_CHUNK // max(1, len(rows) * keys.shape[1]))
     pairs = max(1, _COVER_CHUNK // size)
-    # a lone result has no earlier result of its layer to be covered by
-    sources = (pool.reshape(-1, size), flat) if len(ws) > 1 else (pool.reshape(-1, size),)
-    for earlier in sources:
-        ekeys = earlier if probe is None else earlier.take(probe, axis=1)
-        rows = max(1, _COVER_CHUNK // max(1, len(earlier) * keys.shape[1]))
-        for a in range(0, len(ws), rows):
-            hit = (ekeys[None] <= keys[a : a + rows, None]).all(axis=2)
-            if earlier is flat:
-                hit &= np.tri(len(hit), len(ws), a - 1, dtype=bool)
-            i, j = hit.nonzero()
-            for p in range(0, len(i), pairs):
-                ii, jj = i[p : p + pairs], j[p : p + pairs]
-                out[a + ii[(earlier[jj] <= flat[a + ii]).all(axis=1)]] = True
+    for a in range(start, len(rows), step):
+        # row a + i against the rows before it
+        hit = (keys[None, : a + step] <= keys[a : a + step, None]).all(axis=2)
+        hit &= np.tri(*hit.shape, a - 1, dtype=bool)
+        i, j = hit.nonzero()
+        for p in range(0, len(i), pairs):
+            ii, jj = i[p : p + pairs], j[p : p + pairs]
+            out[a - start + ii[(flat[jj] <= flat[a + ii]).all(axis=1)]] = True
     return out
-
-
-def _stack(u: Universe, ws: Sequence[np.ndarray]) -> np.ndarray:
-    """The plain weight matrices ws over u as one (len(ws), m, m) stack."""
-    m = len(u.nodes)
-    return np.array(ws, dtype=float).reshape(len(ws), m, m)
 
 
 def _check_universe(s: SymbolicSet, t: SymbolicSet) -> None:

@@ -5,6 +5,7 @@ import pathlib
 import random
 import re
 import shlex
+import time
 
 import pytest
 
@@ -147,6 +148,58 @@ def test_prestar_actions_and_guard(system_file, tmp_path, capsys):
     capsys.readouterr()
     # a negative-offset guard is outside the decidable fragment
     assert main(["prestar", system_file, str(set_file), "--guard", "x - x' >= -1"]) == 2
+
+
+# x' = x + 1: the rule's clause x - x' >= -1 is outside the paper's GCS (k >= 0)
+INCREMENT = """
+gcs {
+  vars: x;
+  consts: 0;
+}
+rule inc [a]: x' - x >= 1 & x - x' >= -1;
+"""
+
+
+def test_reachability_over_a_non_positive_rule_exits_2(tmp_path, capsys):
+    # pre* of x = 0 is x = -1, -2, ..., none covering another: the query is
+    # refused before any fixpoint work instead of running forever
+    system = tmp_path / "inc.gcs"
+    system.write_text(INCREMENT)
+    set_file = tmp_path / "zero.json"
+    assert main(["denote", str(system), "x = 0"]) == 0
+    set_file.write_text(capsys.readouterr().out)
+    for argv in (
+        ["check", str(system), "x=5", "EF (x = 0)"],
+        ["check", str(system), "x=5", "AG (x >= 0)"],
+        ["denote", str(system), "EF[a] (x = 0)"],
+        ["prestar", str(system), str(set_file)],
+    ):
+        start = time.monotonic()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: reachability needs positive rules: rule inc has x - x' >= -1" in err
+        assert time.monotonic() - start < 5
+    # one step over the rule still gets an answer
+    assert main(["check", str(system), "x=5", "<a> true"]) == 0
+    assert main(["check", str(system), "x=5", "<a> x = 0"]) == 1
+
+
+def test_metrics_describe_the_system_without_an_ef(system_file, tmp_path, capsys):
+    # dimension, constraint_count and constants_magnitude are the system's
+    # size, whether or not a fixpoint ran
+    other = tmp_path / "other.gcs"
+    other.write_text("gcs {\n  vars: x;\n  consts: -3, 2;\n}\nrule up [a]: x' > x;\n")
+    for argv, size in (
+        (["check", system_file, "x=1, y=0", "<a> true"], (9, 2, 0)),
+        (["check", system_file, "x=1, y=0", "x >= 0"], (9, 2, 0)),
+        (["denote", system_file, "x = 0 & y = 0"], (9, 2, 0)),
+        (["check", str(other), "x=1", "<a> true"], (9, 1, 3)),
+        (["denote", str(other), "x >= 2"], (9, 1, 3)),
+    ):
+        assert main(argv + ["--metrics"]) in (0, 1)
+        m = json.loads(capsys.readouterr().err)
+        assert (m["dimension"], m["constraint_count"], m["constants_magnitude"]) == size
+        assert m["graphs_created"] <= 2
 
 
 def test_max_pool_exit_2(system_file, capsys):

@@ -26,9 +26,9 @@ from gapmc.frontend import (
     tokenize,
 )
 from gapmc.logic import AndF, Atom, Diamond, Ef, Eg, Eu, NotF, OrF, TrueF
-from gapmc.mg import NEG_INF, POS_INF, Clause, canonicalize, from_constraint, is_const
+from gapmc.mg import NEG_INF, POS_INF, Clause, from_constraint, is_const
 from gapmc.oracle import random_window_closed_gcs
-from gapmc.sets import SymbolicSet, empty_set, full_set, make_set, same_set
+from gapmc.sets import SymbolicSet, full_set, make_set, same_set
 
 from conftest import CX_CLAUSES, random_plain_mg, random_transitional_mg
 
@@ -264,7 +264,7 @@ def test_lts_round_trips():
 
 
 def test_mg_json_schema_and_round_trip():
-    g = canonicalize(from_constraint([Clause("x", "y", 2), Clause("y", 0, 0)], ("x", "y"), (0,)))
+    g = from_constraint([Clause("x", "y", 2), Clause("y", 0, 0)], ("x", "y"), (0,)).closure()
     doc = mg_to_json(g)
     assert set(doc) == {"nodes", "edges"}
     for e in doc["edges"]:
@@ -280,10 +280,10 @@ def test_mg_json_round_trips_random():
         g = random_plain_mg(rng)
         if not g.is_satisfiable():
             continue
-        g = canonicalize(g)
+        g = g.closure()
         # non-positive self edges are implied by cycles and elided in JSON;
-        # re-canonicalizing restores them
-        assert canonicalize(mg_from_json(mg_to_json(g))) == g
+        # closing again restores them
+        assert mg_from_json(mg_to_json(g)).closure() == g
         done += 1
 
 
@@ -309,7 +309,7 @@ def test_mg_json_plus_inf_and_minus_inf_tokens():
 
 def _mg_json_reference(m):
     """mg_to_json entry by entry, as the format defines it."""
-    ns = m.nodes()
+    ns = m.u.nodes
     edges = []
     for i, x in enumerate(ns):
         for j, y in enumerate(ns):
@@ -340,8 +340,8 @@ def test_dump_set_is_json_dumps_with_indent_2():
     rng = random.Random(79)
     universes = [(("x", "y"), (0,)), (("x", "y"), (-2, 0, 3)), (("a", "b", "c"), (-5,)),
                  (("p", "q"), ()), ((), (-1, 4))]
-    sets = [empty_set(("x", "y"), (0,)), full_set(("x", "y"), (0,)), full_set((), ()),
-            full_set((), (1, 2)), empty_set((), ())]
+    sets = [make_set(("x", "y"), (0,)), full_set(("x", "y"), (0,)), full_set((), ()),
+            full_set((), (1, 2)), make_set((), ())]
     for vars, consts in universes:
         for _ in range(30):
             graphs = [random_plain_mg(rng, vars, consts) for _ in range(rng.randint(0, 4))]

@@ -98,8 +98,10 @@ def test_denote_diamond_guard(countdown):
 
 
 def test_denote_unknown_action(countdown):
-    with pytest.raises(ValueError):
-        denote(countdown, Diamond("zz", TrueF()))
+    # an action that no rule carries makes no step, under <a> as under EF[a]
+    assert denote(countdown, Diamond("zz", TrueF())).set.is_empty()
+    x = Atom(Clause("x", 0, 1))
+    assert denote(countdown, Ef(x, actions=("zz",))).set == denote(countdown, x).set
 
 
 # -- check examples -------------------------------------------------------------

@@ -11,14 +11,11 @@ from gapmc.mg import (
     Clause,
     MonotonicityGraph,
     RuleStack,
-    UnsatisfiableGraphError,
-    canonicalize,
     close_rules,
     compose,
     compose_batch,
     covers,
     from_constraint,
-    unsat_graph,
 )
 
 from conftest import (
@@ -39,7 +36,7 @@ def closure_oracle(m: MonotonicityGraph) -> np.ndarray:
     """Independent closure: seed constant edges, then iterate one-step path
     extension to a fixpoint; entries still growing after enough rounds to
     have found every simple path must lie on positive cycles (+inf)."""
-    ns = m.nodes()
+    ns = m.u.nodes
     n = len(ns)
     base = np.array(m.w)
     for i, a in enumerate(ns):
@@ -186,10 +183,6 @@ def test_satisfiability_examples():
     assert not mg([Clause(0, 3, 5)], consts=(0, 3)).is_satisfiable()
 
 
-def test_unsat_graph_is_unsatisfiable():
-    assert not unsat_graph(VARS, CONSTS).is_satisfiable()
-
-
 # -- degree ----------------------------------------------------------------------
 
 
@@ -232,7 +225,7 @@ def test_project_renamed_intersection():
         transitional=True,
     )
     middle = renamed.intersect(mg(CX_CLAUSES, transitional=True))
-    p = middle.project(("x", "y"))
+    p = middle.closure().restrict(("x", "y"))
     assert p.weight("x", 0) == 2
     assert p.weight("x", "y") == 2
     assert p.weight("y", 0) == 0
@@ -240,8 +233,8 @@ def test_project_renamed_intersection():
 
 
 def test_project_trivia():
-    assert (mg([]).project(("x",)).w == NEG_INF).all()
-    g = mg([Clause("x'", "x", 3)], transitional=True).project(("x",))
+    assert (mg([]).closure().restrict(("x",)).w == NEG_INF).all()
+    g = mg([Clause("x'", "x", 3)], transitional=True).closure().restrict(("x",))
     assert (g.w == NEG_INF).all()
 
 
@@ -264,7 +257,7 @@ def test_intersect_requires_same_universe():
 
 def test_compose_countdown_step_exact(cx_graph):
     s = mg([Clause("x", 0, 1), Clause("y", 0, 0), Clause(0, "y", 0)])
-    expect = canonicalize(mg([Clause("x", 0, 2), Clause("y", 0, 0), Clause(0, "y", 0)]))
+    expect = mg([Clause("x", 0, 2), Clause("y", 0, 0), Clause(0, "y", 0)]).closure()
     got = compose(cx_graph, s)
     assert got == expect
     assert got.w.tobytes() == expect.w.tobytes()
@@ -329,7 +322,9 @@ def _closed_sat(rng, make):
 def test_compose_batch_matches_compose(vars, consts):
     # compose runs the full closure over every node and stays the reference
     rng = random.Random(40)
-    unsat = unsat_graph(vars, consts)
+    # an unsatisfiable combination composes to the closed all-+inf graph
+    nodes = len(vars) + len(consts)
+    unsat = MonotonicityGraph(vars, consts, False, np.full((nodes, nodes), POS_INF), closed=True)
     results = {"sat": 0, "unsat": 0, "frontiers": 0}
     for i in range(40):
         positive = i % 2 == 0
@@ -350,7 +345,8 @@ def test_compose_batch_matches_compose(vars, consts):
             assert len(got) == len(rules)
             for g, p in zip(rules, got):
                 ref = compose(g, m)
-                if ref is unsat:
+                if not ref.is_satisfiable():
+                    assert ref == unsat and ref.closed
                     assert p is None
                     results["unsat"] += 1
                 else:
@@ -450,7 +446,8 @@ def test_evaluate_examples():
     g = mg([Clause("x", "y", 5)])
     assert g.evaluate({"x": 7, "y": 1})
     assert not g.evaluate({"x": 5, "y": 1})
-    assert not unsat_graph(VARS, CONSTS).evaluate({"x": 0, "y": 0})
+    unsat = MonotonicityGraph(VARS, CONSTS, w=np.full((3, 3), POS_INF))
+    assert not unsat.evaluate({"x": 0, "y": 0})
 
 
 def test_integers_beyond_the_exact_range_are_refused():
@@ -472,20 +469,15 @@ def test_integers_beyond_the_exact_range_are_refused():
     assert len(close_rules(("x",), (0,), [[Clause("x", "x'", 2**53 // 4)]])) == 1
 
 
-# -- canonicalize ----------------------------------------------------------------------
+# -- canonical form: the closure -------------------------------------------------------
 
 
 def test_canonicalize_idempotent_and_order_independent():
     a = mg([Clause("x", "y", 1), Clause("y", 0, 0)])
     b = mg([Clause("y", 0, 0), Clause("x", "y", 1)])
-    ca, cb = canonicalize(a), canonicalize(b)
+    ca, cb = a.closure(), b.closure()
     assert ca == cb
-    assert canonicalize(ca) == ca
-
-
-def test_canonicalize_rejects_unsat():
-    with pytest.raises(UnsatisfiableGraphError):
-        canonicalize(mg([Clause("x", "y", 1), Clause("y", "x", 0)]))
+    assert ca.closure() == ca
 
 
 # -- property suites --------------------------------------------------------------------

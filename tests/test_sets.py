@@ -29,7 +29,6 @@ from gapmc.sets import (
     atom_set,
     complement,
     contains,
-    empty_set,
     full_set,
     intersect_sets,
     make_set,
@@ -75,7 +74,7 @@ def test_make_set_rejects_foreign_universe():
 
 
 def test_full_and_empty():
-    assert empty_set(VARS, CONSTS).is_empty()
+    assert make_set(VARS, CONSTS).is_empty()
     assert len(full_set(VARS, CONSTS).members) == 1
 
 
@@ -129,7 +128,7 @@ def test_complement_matches_per_clause_reference():
         full = full_set(vars, consts).members[0]
         expect = [full.w.tobytes()]
         for m in s.members:
-            ns = m.nodes()
+            ns = m.u.nodes
             basis = [
                 Clause(x, y, int(m.w[i, j]))
                 for i, x in enumerate(ns)
@@ -137,7 +136,11 @@ def test_complement_matches_per_clause_reference():
                 if i != j and not (isinstance(x, int) and isinstance(y, int))
                 and np.isfinite(m.w[i, j])
             ]
-            negs = [from_constraint([c.negated()], vars, consts, transitional=False) for c in basis]
+            # not(x - y >= k)  <=>  y - x >= 1 - k
+            negs = [
+                from_constraint([Clause(c.right, c.left, 1 - c.k)], vars, consts, transitional=False)
+                for c in basis
+            ]
             rows = [np.frombuffer(b).reshape(m.w.shape) for b in expect]
             comp = [np.frombuffer(b).reshape(m.w.shape) for b in _reference_normalise(negs)]
             expect = _reference_normalise(
@@ -151,7 +154,7 @@ def test_complement_matches_per_clause_reference():
 
 def test_union_with_empty_is_identity():
     s = aset(*X_GE_5)
-    assert same_set(union(s, empty_set(VARS, CONSTS)), s)
+    assert same_set(union(s, make_set(VARS, CONSTS)), s)
 
 
 def test_union_subsumption():
@@ -200,7 +203,7 @@ def test_complement_of_full_is_empty():
 
 
 def test_complement_of_empty_is_full():
-    assert same_set(complement(empty_set(VARS, CONSTS)), full_set(VARS, CONSTS))
+    assert same_set(complement(make_set(VARS, CONSTS)), full_set(VARS, CONSTS))
 
 
 def test_double_complement_sampling():
@@ -237,7 +240,7 @@ def test_property_membership_laws():
 
 
 def test_contains_examples():
-    assert not contains(empty_set(VARS, CONSTS), {"x": 0, "y": 0})
+    assert not contains(make_set(VARS, CONSTS), {"x": 0, "y": 0})
     s = aset(*X2_Y0)
     assert contains(s, {"x": 2, "y": 0})
     assert not contains(s, {"x": 2, "y": 1})
@@ -259,7 +262,7 @@ def test_pre_constraint_countdown_step(cx_graph):
 
 
 def test_pre_constraint_of_empty(cx_graph):
-    assert pre_constraint(cx_graph, empty_set(VARS, CONSTS)).is_empty()
+    assert pre_constraint(cx_graph, make_set(VARS, CONSTS)).is_empty()
 
 
 def test_pre_constraint_unsat_prunes(cy_graph):
@@ -280,12 +283,12 @@ def test_pre_action_b_of_y_zero(countdown):
 
 
 def test_pre_action_of_empty(countdown):
-    assert pre_action(countdown, "a", empty_set(VARS, CONSTS)).is_empty()
+    assert pre_action(countdown, "a", make_set(VARS, CONSTS)).is_empty()
 
 
 def test_pre_action_unknown_action(countdown):
-    with pytest.raises(ValueError):
-        pre_action(countdown, "nope", full_set(VARS, CONSTS))
+    # an action that no rule carries makes no step, as in an EF action filter
+    assert pre_action(countdown, "nope", full_set(VARS, CONSTS)).is_empty()
 
 
 def test_pre_action_two_rules_same_label(countdown):
@@ -319,7 +322,7 @@ def test_pre_action_two_rules_same_label(countdown):
         )
         s = make_set(VARS, CONSTS, [random_plain_mg(rng) for _ in range(rng.randint(1, 2))])
         guard_g = from_constraint(guard, VARS, CONSTS, transitional=True)
-        expect = empty_set(VARS, CONSTS)
+        expect = make_set(VARS, CONSTS)
         for r in g2.rules:
             rule_g = from_constraint(r.clauses, VARS, CONSTS, transitional=True)
             expect = union(expect, pre_constraint(rule_g.intersect(guard_g), s))
@@ -349,7 +352,7 @@ def test_pre_star_of_full_is_full(countdown):
 
 
 def test_pre_star_of_empty_is_empty(countdown):
-    assert pre_star(countdown, empty_set(VARS, CONSTS)).is_empty()
+    assert pre_star(countdown, make_set(VARS, CONSTS)).is_empty()
 
 
 def _reference_pre_star(gcs, s, guard=(), actions=None):
@@ -441,6 +444,25 @@ def test_pre_star_guard(countdown):
 def test_pre_star_rejects_negative_guard(countdown):
     with pytest.raises(GuardError):
         pre_star(countdown, full_set(VARS, CONSTS), guard=(Clause("x'", "x", -1),))
+
+
+def test_reachability_refuses_a_non_positive_rule(countdown, monkeypatch):
+    # x' = x + 1 (x' - x >= 1 and x - x' >= -1): pre* of x = 0 is x = -1,
+    # -2, ..., no member covering another, so the fixpoint would not end
+    inc = TransitionRule("inc", (Clause("x'", "x", 1), Clause("x", "x'", -1)), "c")
+    g = Gcs(VARS, CONSTS, ("a", "b", "c"), countdown.rules + (inc,))
+    target = aset(*XY_ZERO)
+    calls = []
+    monkeypatch.setattr(sets, "compose_batch", lambda *a: calls.append(a) or compose_batch(*a))
+    with pytest.raises(GuardError, match="rule inc has x - x' >= -1"):
+        pre_star(g, target)
+    with pytest.raises(GuardError, match="rule inc has x - x' >= -1"):
+        reaches(g, {"x": 5, "y": 0}, target, actions=("c",))
+    assert calls == []
+    # a query whose actions leave the rule out, and one step over it, answer
+    assert same_set(pre_star(g, target, actions=("a", "b")), pre_star(countdown, target))
+    step = pre_action(g, "c", target)
+    assert contains(step, {"x": -1, "y": 3}) and not contains(step, {"x": 0, "y": 0})
 
 
 def test_pre_star_metrics(countdown):
@@ -580,6 +602,33 @@ def test_pre_star_pool_matches_one_at_a_time(cover_chunk, monkeypatch):
         seen["cap mid-member"] += isinstance(out, str) and metrics["graphs_created"] % r != 0
         seen["pool"] += isinstance(out, bytes)
     assert all(n >= 10 for n in seen.values()), seen
+
+
+@pytest.mark.parametrize("cover_chunk", [None, 7], ids=["one-chunk", "small-chunks"])
+def test_covered_matches_brute_force(cover_chunk, monkeypatch):
+    # the mask of rows[start:] covered by an earlier row, against the
+    # pairwise definition, with and without a screening probe
+    if cover_chunk is not None:
+        monkeypatch.setattr(sets, "_COVER_CHUNK", cover_chunk)
+    rng = np.random.default_rng(39)
+    seen = dict.fromkeys(("covered", "kept", "repeat", "probe"), 0)
+    for _ in range(150):
+        m, n = int(rng.integers(1, 4)), int(rng.integers(0, 12))
+        rows = rng.choice([NEG_INF, -1.0, 0.0, 1.0, 2.0], size=(n, m, m))
+        if n > 1 and rng.random() < 0.5:
+            i = int(rng.integers(1, n))
+            rows[i] = rows[rng.integers(0, i)]
+            seen["repeat"] += 1
+        probes = [None, rng.choice(m * m, size=int(rng.integers(1, m * m + 1)), replace=False)]
+        for start in sorted({0, n // 2, n}):
+            for probe in probes:
+                got = sets._covered(rows, start, probe)
+                expect = [any((rows[j] <= rows[i]).all() for j in range(i)) for i in range(start, n)]
+                assert got.dtype == bool and got.tolist() == expect
+                seen["covered"] += sum(expect)
+                seen["kept"] += len(expect) - sum(expect)
+                seen["probe"] += probe is not None and len(expect) > 0
+    assert all(k >= 50 for k in seen.values()), seen
 
 
 def test_pre_star_layer_with_no_satisfiable_pair(countdown):

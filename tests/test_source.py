@@ -51,3 +51,63 @@ def test_every_cache_is_bounded_and_lives_in_mg():
     cached = [f for f in vars(mg).values() if hasattr(f, "cache_parameters")]
     assert len(cached) == len(uses)  # each use decorates a module-level function
     assert all(isinstance(f.cache_parameters()["maxsize"], int) for f in cached)
+
+
+# functions of mg and sets that no module under src/gapmc or bench/ calls,
+# kept because tests judge the engine by them, each with the reason
+TEST_JUDGES = (
+    ("compose", "the full-closure composition that compose_batch is checked against"),
+    ("closure", "the canonical form, against the closure oracle of the property suites"),
+    ("covers", "the covering order, which the pre* reference prunes with"),
+    ("is_satisfiable", "satisfiability of one graph, for the references' unsat filters"),
+    ("intersect", "graph intersection, to build guarded rule graphs in the references"),
+    ("evaluate", "membership of one valuation in one graph, for brute-force checks"),
+    ("from_constraint", "one graph from clauses, the tests' way to write a graph"),
+    ("pre_constraint", "the per-graph predecessor that pre_action is checked against"),
+    ("same_set", "set equality by denotation, how tests compare symbolic sets"),
+)
+
+
+def _names(tree, skip=None):
+    """The names that the code of tree refers to, outside the node skip:
+    variables, attributes, imported names and string constants."""
+    out, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_engine_function_has_a_caller():
+    # a function of mg or sets that no code outside its own body refers to
+    # is dead, unless tests judge the engine by it; protocol methods
+    # (__eq__, ...) are called by the language and are not checked
+    pkg = Path(gapmc.__file__).parent
+    files = sorted(pkg.glob("*.py")) + sorted((Path(__file__).parents[1] / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    judges = {name for name, _ in TEST_JUDGES}
+    defined, uncalled = set(), []
+    for module in ("mg.py", "sets.py"):
+        own = trees[pkg / module]
+        others = set().union(*(_names(t) for t in trees.values() if t is not own))
+        members = [m for c in own.body if isinstance(c, ast.ClassDef) for m in c.body]
+        for d in own.body + members:
+            if not isinstance(d, ast.FunctionDef):
+                continue
+            defined.add(d.name)
+            if d.name.startswith("__") or d.name in judges:
+                continue
+            if d.name not in others | _names(own, skip=d):
+                uncalled.append(f"{module}:{d.name}")
+    assert uncalled == []
+    assert judges <= defined  # no judge outlives its function
