@@ -3,8 +3,12 @@
 Formulas are immutable trees whose atoms are gap clauses.  Denotations are
 symbolic sets computed structurally: atoms and ``true`` directly, negation by
 complement, conjunction by intersection, ⟨a⟩ by one predecessor step and EF
-by the backward-reachability fixpoint.  Each call hash-conses its formula
-first (Filliâtre & Conchon, "Type-safe modular hash-consing", 2006), so a
+by the backward-reachability fixpoint.  check answers at the valuation: it
+evaluates ¬, ∧ and ∨ above the first modality as booleans, short-circuiting
+∧ and ∨, answers each EF there by early-stopping reachability and any other
+node by membership in its set, so a subformula that cannot change the
+verdict is never denoted.  Each call hash-conses its formula first
+(Filliâtre & Conchon, "Type-safe modular hash-consing", 2006), so a
 subformula that occurs many times, as in characteristic formulas, is
 evaluated once.  EG and E..U nodes exist so that input can be parsed and
 rejected with a clear diagnostic: their model checking problem over
@@ -193,9 +197,10 @@ class Denotation:
 class _Evaluation:
     """One denote or check call of formula f over system g.  f is interned
     into root: structurally equal nodes become one object, so denotations
-    are memoised on node identity, and each (guard, action set) closes its
-    rule stack once.  root refers to every interned node, which keeps each
-    id used as a key valid for the call; nothing is shared between calls."""
+    are memoised on node identity for the whole call, and each (guard,
+    action set) closes its rule stack once.  root refers to every interned
+    node, which keeps each id used as a key valid for the call; nothing is
+    shared between calls."""
 
     def __init__(self, g: Gcs, f: Formula, metrics: Optional[Metrics], max_pool):
         self.g, self.max_pool = g, max_pool
@@ -203,6 +208,7 @@ class _Evaluation:
         metrics.saw_system(g)
         self.conj: set[int] = set()  # interned conjunctions of atoms only
         self.stacks: dict[tuple, RuleStack] = {}
+        self.memo: dict[int, SymbolicSet] = {}  # id(interned node) -> its set
         self.root = self.intern(f)
         metrics.nesting_depth = max(metrics.nesting_depth, nesting_depth(self.root))
 
@@ -235,14 +241,53 @@ class _Evaluation:
         return self.stacks[key]
 
     def denote(self, f: Formula) -> SymbolicSet:
-        """The set of interned f, each node evaluated once, operands first; a
-        conjunction of atoms is one graph, closed once, so its operands are
-        not evaluated on its behalf."""
-        memo: dict[int, SymbolicSet] = {}
-        operands = lambda n: () if id(n) in self.conj else _subformulas(n)
+        """The set of interned f, each node evaluated once in the call,
+        operands first; a conjunction of atoms is one graph, closed once, so
+        its operands are not evaluated on its behalf."""
+        memo = self.memo
+        operands = lambda n: () if id(n) in self.conj or id(n) in memo else _subformulas(n)
         for node in _postorder(f, operands):
-            memo[id(node)] = self._step(node, lambda x: memo[id(x)])
+            if id(node) not in memo:
+                memo[id(node)] = self._step(node, lambda x: memo[id(x)])
         return memo[id(f)]
+
+    def check(self, f: Formula, v: dict) -> bool:
+        """Does v satisfy interned f?  The boolean skeleton above the first
+        modality is evaluated at v, left operand first, and ∧/∨ stop at the
+        first operand that decides them; an EF whose set is not yet known is
+        answered by the early-stopping reaches, any other node by membership
+        in its set.  Walks an explicit stack, so any width works."""
+        truth: dict[int, bool] = {}
+        stack = [f]
+        while stack:
+            node = stack[-1]
+            t = type(node)
+            if t is TrueF:
+                value = True
+            elif t is NotF or (t is AndF or t is OrF) and id(node) not in self.conj:
+                first, *rest = _subformulas(node)
+                value = truth.get(id(first))
+                if value is None:
+                    stack.append(first)
+                    continue
+                if t is NotF:
+                    value = not value
+                elif value == (t is AndF):  # left does not decide: right does
+                    value = truth.get(id(rest[0]))
+                    if value is None:
+                        stack.append(rest[0])
+                        continue
+            elif t is Ef and id(node) not in self.memo:
+                value = sets.reaches(
+                    self.g, v, self.denote(node.f), node.guard, node.actions,
+                    metrics=self.metrics, max_pool=self.max_pool,
+                    rules=self.rules(node.guard, node.actions),
+                )
+            else:
+                value = sets.contains(self.denote(node), v)
+            truth[id(node)] = value
+            stack.pop()
+        return truth[id(f)]
 
     def _step(self, f: Formula, d) -> SymbolicSet:
         g = self.g
@@ -289,14 +334,10 @@ def check(
     metrics: Optional[Metrics] = None,
     max_pool: Optional[int] = None,
 ) -> bool:
-    """Does valuation v satisfy f?  A top-level EF is answered by the
-    early-stopping reachability query instead of the full fixpoint."""
+    """Does valuation v satisfy f?  Answered at v (see _Evaluation.check):
+    above the first modality ¬ negates and ∧, ∨ short-circuit, each EF there
+    is the early-stopping reachability query instead of the full fixpoint,
+    and a subformula that does not decide the verdict is not evaluated."""
     sets.check_valuation(g.vars, v)  # before any fixpoint work
     ev = _Evaluation(g, f, metrics, max_pool)
-    root = ev.root
-    if isinstance(root, Ef):
-        return sets.reaches(
-            g, dict(v), ev.denote(root.f), root.guard, root.actions, metrics=ev.metrics,
-            max_pool=max_pool, rules=ev.rules(root.guard, root.actions),
-        )
-    return sets.contains(ev.denote(root), dict(v))
+    return ev.check(ev.root, dict(v))

@@ -342,6 +342,22 @@ def test_long_flat_formulas_get_a_verdict(system_file, capsys):
     assert capsys.readouterr().out.split() == ["true", "false"]
 
 
+def test_long_flat_formulas_get_a_verdict_from_check(system_file, capsys):
+    # check walks the boolean skeleton above the first modality without
+    # recursion: a 3000-atom conjunction and a 2000-atom disjunction at the
+    # top are answered at the valuation like short ones; the leading negation
+    # keeps every ∧ of the chain in the skeleton, not one graph of atoms
+    conj = "!(x - 0 >= 5) & " + " & ".join(f"x - 0 >= {k}" for k in range(-3000, 0))
+    assert main(["check", system_file, "x=0, y=1", conj]) == 0
+    assert main(["check", system_file, "x=-2, y=1", conj]) == 1
+    disj = " | ".join(f"x - 0 >= {k}" for k in range(2000, 0, -1))
+    assert main(["check", system_file, "x=1, y=0", disj]) == 0
+    assert main(["check", system_file, "x=0, y=0", disj]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.split() == ["true", "false", "true", "false"]
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("formula", [
     "!" * 3000 + "true",
     "EF " * 3000 + "(x >= 0)",

@@ -124,6 +124,36 @@ def test_check_matches_denote(countdown):
             assert check(countdown, v, f) == contains(d.set, v)
 
 
+def test_check_at_the_valuation_matches_membership_in_the_denotation():
+    # check evaluates the boolean skeleton at v and short-circuits; it must
+    # agree with membership in the full denotation on every draw
+    rng = random.Random(12)
+    for _ in range(150):
+        g = oracle.random_window_closed_gcs(rng)
+        f = oracle.random_formula(rng, g, depth=4)
+        d = denote(g, f).set
+        for _ in range(3):
+            v = random_valuation(rng, g.vars, 0, 4)
+            assert check(g, v, f) == contains(d, v)
+            assert check(g, v, NotF(f)) != contains(d, v)
+
+
+def test_a_decided_conjunction_or_disjunction_skips_its_right_operand(countdown, monkeypatch):
+    v = {"x": 1, "y": 0}
+    false_at_v, true_at_v = Atom(Clause("x", 0, 2)), Atom(Clause("x", 0, 1))
+    calls = _count_calls(monkeypatch, sets, ("pre_star", "reaches"))
+    assert not check(countdown, v, AndF(false_at_v, Ef(XY_ZERO)))
+    assert check(countdown, v, OrF(true_at_v, Ef(XY_ZERO)))
+    assert not check(countdown, v, AndF(Diamond("b", TrueF()), NotF(Ef(XY_ZERO))))
+    assert calls == {"pre_star": 0, "reaches": 0}
+    # an EF below the skeleton is answered at v, by the early-stopping query
+    assert check(countdown, v, AndF(true_at_v, Ef(XY_ZERO)))
+    assert calls == {"pre_star": 0, "reaches": 1}
+    # unless the call has already denoted it in full
+    assert check(countdown, v, AndF(Diamond("a", Ef(XY_ZERO)), Ef(XY_ZERO)))
+    assert calls == {"pre_star": 1, "reaches": 1}
+
+
 # -- sugar -----------------------------------------------------------------------
 
 
@@ -324,15 +354,24 @@ def test_one_rule_stack_per_guard_and_action_set(countdown, monkeypatch, mode):
     trans = {("p", "a", "q"), ("q", "b", "r"), ("r", "a", "p"), ("p", "b", "p")}
     if mode == "weak":
         trans.add(("q", "tau", "p"))
-    lts = FiniteLts(("p", "q", "r"), acts, frozenset(trans))
-    theta = characteristic_formula(lts, "p", mode, alphabet=acts)
-    keys = _rule_stack_keys(theta)
-    assert len(keys) == len(acts) + 1  # one per action, and AG over all rules
+    lts = FiniteLts(("p", "q", "r", "d"), acts, frozenset(trans))  # d is a deadlock
     calls = _count_calls(monkeypatch, sets, ("close_rules",))
-    for v in ({"x": 1, "y": 0}, {"x": 0, "y": 2}):
+    for s in ("p", "d"):
+        theta = characteristic_formula(lts, s, mode, alphabet=acts)
+        keys = _rule_stack_keys(theta)
+        assert len(keys) == len(acts) + 1  # one per action, and AG over all rules
         calls["close_rules"] = 0
-        check(countdown, v, theta)
+        denote(countdown, theta)
         assert calls["close_rules"] == len(keys)
+        # check stops where φ_s is false at v, so it may need fewer stacks
+        for v in ({"x": 1, "y": 0}, {"x": 0, "y": 2}):
+            calls["close_rules"] = 0
+            assert not check(countdown, v, theta)
+            assert calls["close_rules"] <= len(keys)
+    # at the origin φ_d holds, so check reaches the AG and needs them all
+    calls["close_rules"] = 0
+    assert check(countdown, {"x": 0, "y": 0}, theta)
+    assert calls["close_rules"] == len(keys)
 
 
 def test_diamond_and_ef_share_a_rule_stack_and_no_actions_is_not_all(countdown, monkeypatch):

@@ -65,13 +65,17 @@ TEST_JUDGES = (
     ("from_constraint", "one graph from clauses, the tests' way to write a graph"),
     ("pre_constraint", "the per-graph predecessor that pre_action is checked against"),
     ("same_set", "set equality by denotation, how tests compare symbolic sets"),
+    ("degree", "the degree of one graph or set, for the degree-discipline laws"),
+    ("norm", "the norm of one graph, against which the Metrics max_norm is checked"),
+    ("weight", "the weight of one edge, how tests read a graph edge by edge"),
 )
 
 
 def _names(tree, skip=None):
     """The names that the code of tree refers to, outside the node skip:
-    variables, attributes, imported names and string constants."""
-    out, todo = set(), [tree]
+    all of them (variables, attributes, imported names and string
+    constants), and the attribute names alone."""
+    out, attrs, todo = set(), set(), [tree]
     while todo:
         node = todo.pop()
         if node is skip:
@@ -79,19 +83,21 @@ def _names(tree, skip=None):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.add(node.value)
         todo.extend(ast.iter_child_nodes(node))
-    return out
+    return out | attrs, attrs
 
 
 def test_every_engine_function_has_a_caller():
     # a function of mg or sets that no code outside its own body refers to
-    # is dead, unless tests judge the engine by it; protocol methods
-    # (__eq__, ...) are called by the language and are not checked
+    # is dead, unless tests judge the engine by it; a method counts only as
+    # an attribute (x.name), not as a same-named local or string key.
+    # Protocol methods (__eq__, ...) are called by the language and are not
+    # checked
     pkg = Path(gapmc.__file__).parent
     files = sorted(pkg.glob("*.py")) + sorted((Path(__file__).parents[1] / "bench").glob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
@@ -99,15 +105,17 @@ def test_every_engine_function_has_a_caller():
     defined, uncalled = set(), []
     for module in ("mg.py", "sets.py"):
         own = trees[pkg / module]
-        others = set().union(*(_names(t) for t in trees.values() if t is not own))
-        members = [m for c in own.body if isinstance(c, ast.ClassDef) for m in c.body]
-        for d in own.body + members:
+        others = [_names(t) for t in trees.values() if t is not own]
+        functions = [(d, False) for d in own.body]
+        functions += [(m, True) for c in own.body if isinstance(c, ast.ClassDef) for m in c.body]
+        for d, is_method in functions:
             if not isinstance(d, ast.FunctionDef):
                 continue
             defined.add(d.name)
             if d.name.startswith("__") or d.name in judges:
                 continue
-            if d.name not in others | _names(own, skip=d):
+            refs = set().union(*(names[is_method] for names in others + [_names(own, skip=d)]))
+            if d.name not in refs:
                 uncalled.append(f"{module}:{d.name}")
     assert uncalled == []
     assert judges <= defined  # no judge outlives its function
