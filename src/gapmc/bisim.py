@@ -196,6 +196,8 @@ def equiv_check(
     max_pool=None,
 ) -> bool:
     """Is the GCS state v (strongly/weakly) bisimilar to LTS state s?"""
+    if mode not in ("strong", "weak"):
+        raise ValueError(f"unknown bisimulation mode {mode!r}")
     if s not in l.states:
         raise ValueError(f"unknown LTS state {s!r}")
     observable = {a for (_, a, _) in l.transitions if not (mode == "weak" and a == tau)}

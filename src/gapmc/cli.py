@@ -40,10 +40,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _emit_metrics(metrics: Metrics) -> None:
-    print(json.dumps(metrics.as_dict()), file=sys.stderr)
-
-
 def _load_system(path: str):
     g = parse_gcs(_read(path))
     for p in validate(g):
@@ -68,32 +64,26 @@ def _check_counts(args) -> None:
             raise ValueError(f"--{name.replace('_', '-')} must not be negative, got {n}")
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, metrics: Metrics) -> int:
     g = _load_system(args.system)
     v = parse_valuation(args.valuation)
     f = parse_formula(args.formula)
     _check_actions(g, logic.action_names(f))
-    metrics = Metrics()
     verdict = logic.check(g, v, f, metrics=metrics, max_pool=args.max_pool)
     print("true" if verdict else "false")
-    if args.metrics:
-        _emit_metrics(metrics)
     return 0 if verdict else 1
 
 
-def cmd_denote(args) -> int:
+def cmd_denote(args, metrics: Metrics) -> int:
     g = _load_system(args.system)
     f = parse_formula(args.formula)
     _check_actions(g, logic.action_names(f))
-    metrics = Metrics()
     d = logic.denote(g, f, metrics=metrics, max_pool=args.max_pool)
     print(dump_set(d.set))
-    if args.metrics:
-        _emit_metrics(metrics)
     return 0
 
 
-def cmd_prestar(args) -> int:
+def cmd_prestar(args, metrics: Metrics) -> int:
     g = _load_system(args.system)
     try:  # the JSON decoder recurses once per nesting level
         doc = json.loads(_read(args.set_file))
@@ -103,32 +93,26 @@ def cmd_prestar(args) -> int:
     guard = parse_clauses(args.guard) if args.guard else ()
     actions = tuple(args.actions.split(",")) if args.actions else None
     _check_actions(g, actions or ())
-    metrics = Metrics()
     result = symsets.pre_star(
         g, s, guard, actions, metrics=metrics, max_pool=args.max_pool
     )
     print(dump_set(result))
-    if args.metrics:
-        _emit_metrics(metrics)
     return 0
 
 
-def cmd_bisim(args) -> int:
+def cmd_bisim(args, metrics: Metrics) -> int:
     g = _load_system(args.system)
     v = parse_valuation(args.valuation)
     l = parse_lts(_read(args.lts))
-    metrics = Metrics()
     verdict = bisim.equiv_check(
         g, v, l, args.state, mode=args.mode, tau=args.tau,
         metrics=metrics, max_pool=args.max_pool,
     )
     print("true" if verdict else "false")
-    if args.metrics:
-        _emit_metrics(metrics)
     return 0 if verdict else 1
 
 
-def cmd_gen_qbf(args) -> int:
+def cmd_gen_qbf(args, metrics: Metrics) -> int:
     try:  # the parser and the reduction recurse once per operator
         g, v0, f = reductions.qbf_to_gcs(parse_qbf(args.qbf))
     except RecursionError:
@@ -146,7 +130,7 @@ def cmd_gen_qbf(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, metrics: Metrics) -> int:
     report = oracle.differential_run(args.seed, args.cases)
     print(json.dumps(report, indent=2))
     return 0 if not report["mismatches"] else 1
@@ -220,13 +204,17 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    metrics = Metrics()  # filled by the engine commands, printed on --metrics
     try:
         _check_counts(args)
-        return args.func(args)
+        code = args.func(args, metrics)
     except (ParseError, UndecidableFormulaError, GuardError, PoolLimitExceeded,
             ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if getattr(args, "metrics", False):
+        print(json.dumps(metrics.as_dict()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

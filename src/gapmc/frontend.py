@@ -111,6 +111,8 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Stream:
+    """The tokens of one text; every positioned error is raised from here."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
@@ -133,12 +135,23 @@ class _Stream:
     def expect(self, text: str) -> Token:
         t = self.next()
         if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
+            self.fail(f"expected {text!r}, found {t.text or 'end of input'!r}", t)
         return t
 
-    def fail(self, message: str):
-        t = self.peek()
+    def take(self, kinds: tuple[str, ...], what: str) -> Token:
+        """The next token, which must be of one of the given kinds."""
+        t = self.tokens[self.i]
+        if t.kind not in kinds:
+            self.fail(f"expected {what}, found {t.text!r}", t)
+        self.i += 1  # no kind asked for is "eof"
+        return t
+
+    def end(self) -> None:
+        if self.peek().kind != "eof":
+            self.fail(f"trailing input {self.peek().text!r}")
+
+    def fail(self, message: str, at: Optional[Token] = None):
+        t = self.peek() if at is None else at
         raise ParseError(message, t.line, t.col)
 
 
@@ -146,13 +159,8 @@ class _Stream:
 
 
 def _parse_term(ts: _Stream) -> Node:
-    t = ts.next()
-    if t.kind == "num":
-        return int(t.text)
-    if t.kind == "name":
-        return t.text
-    raise ParseError(f"expected a variable or constant, found {t.text!r}",
-                     t.line, t.col)
+    t = ts.take(("num", "name"), "a variable or constant")
+    return int(t.text) if t.kind == "num" else t.text
 
 
 def _parse_clause_group(ts: _Stream) -> list[Clause]:
@@ -162,14 +170,10 @@ def _parse_clause_group(ts: _Stream) -> list[Clause]:
     if ts.accept("-"):
         right = _parse_term(ts)
         ts.expect(">=")
-        t = ts.next()
-        if t.kind != "num":
-            raise ParseError(f"expected an integer offset, found {t.text!r}",
-                             t.line, t.col)
-        return [Clause(left, right, int(t.text))]
+        return [Clause(left, right, int(ts.take(("num",), "an integer offset").text))]
     op = ts.next()
     if op.text not in (">=", ">", "="):
-        raise ParseError(f"expected a comparison, found {op.text!r}", op.line, op.col)
+        ts.fail(f"expected a comparison, found {op.text!r}", op)
     right = _parse_term(ts)
     if op.text == ">=":
         return [Clause(left, right, 0)]
@@ -178,9 +182,9 @@ def _parse_clause_group(ts: _Stream) -> list[Clause]:
     return [Clause(left, right, 0), Clause(right, left, 0)]
 
 
-def _parse_clause_list(ts: _Stream, sep: str = "&") -> list[Clause]:
+def _parse_clause_list(ts: _Stream) -> list[Clause]:
     clauses = _parse_clause_group(ts)
-    while ts.accept(sep):
+    while ts.accept("&"):
         clauses += _parse_clause_group(ts)
     return clauses
 
@@ -191,8 +195,7 @@ def parse_clauses(text: str) -> tuple[Clause, ...]:
     if ts.peek().kind == "eof":
         return ()
     clauses = _parse_clause_list(ts)
-    if ts.peek().kind != "eof":
-        ts.fail(f"trailing input {ts.peek().text!r}")
+    ts.end()
     return tuple(clauses)
 
 
@@ -211,51 +214,40 @@ def _token_list(ts: _Stream) -> list[Token]:
     return out
 
 
-def _once(tokens: list[Token], values: list, what: str) -> tuple:
-    """The values of the tokens, one each; a repeated value is refused at
-    the token that repeats it."""
-    seen = set()
-    for t, v in zip(tokens, values):
-        if v in seen:
-            raise ParseError(f"repeated {what} {t.text!r}", t.line, t.col)
-        seen.add(v)
-    return tuple(values)
+# header entry -> (does a token qualify, the value it gives, the noun for a bad
+# token, the noun for a repeated value)
+_HEADER = {
+    "vars": (lambda t: t.kind == "name" and not t.text.endswith("'"), str,
+             "variable name", "variable"),
+    "consts": (lambda t: t.kind == "num", int, "constant", "constant"),
+    "acts": (lambda t: t.kind in ("name", "num"), str, "action name", "action"),
+}
 
 
 def parse_gcs(text: str) -> Gcs:
     ts = _Stream(tokenize(text))
     ts.expect("gcs")
     ts.expect("{")
-    vars: tuple[str, ...] = ()
-    consts: tuple[int, ...] = ()
-    declared: Optional[tuple[str, ...]] = None
-    keys: set[str] = set()
+    header: dict[str, tuple] = {}
     while not ts.accept("}"):
         key = ts.next()
-        if key.text in keys:
-            raise ParseError(f"repeated header entry {key.text!r}", key.line, key.col)
-        keys.add(key.text)
+        if key.text in header:
+            ts.fail(f"repeated header entry {key.text!r}", key)
         ts.expect(":")
-        if key.text == "vars":
-            names = _token_list(ts)
-            for t in names:
-                if t.kind != "name" or t.text.endswith("'"):
-                    raise ParseError(f"bad variable name {t.text!r}", t.line, t.col)
-            vars = _once(names, [t.text for t in names], "variable")
-        elif key.text == "consts":
-            nums = _token_list(ts)
-            for t in nums:
-                if t.kind != "num":
-                    raise ParseError(f"bad constant {t.text!r}", t.line, t.col)
-            consts = _once(nums, [int(t.text) for t in nums], "constant")
-        elif key.text == "acts":
-            names = _token_list(ts)
-            for t in names:
-                if t.kind not in ("name", "num"):
-                    raise ParseError(f"bad action name {t.text!r}", t.line, t.col)
-            declared = _once(names, [t.text for t in names], "action")
-        else:
-            raise ParseError(f"unknown header entry {key.text!r}", key.line, key.col)
+        if key.text not in _HEADER:
+            ts.fail(f"unknown header entry {key.text!r}", key)
+        good, value, bad, noun = _HEADER[key.text]
+        tokens = _token_list(ts)
+        for t in tokens:  # every token's kind first, then repeats
+            if not good(t):
+                ts.fail(f"bad {bad} {t.text!r}", t)
+        values = [value(t.text) for t in tokens]
+        seen = set()
+        for t, v in zip(tokens, values):
+            if v in seen:
+                ts.fail(f"repeated {noun} {t.text!r}", t)
+            seen.add(v)
+        header[key.text] = tuple(values)
         ts.expect(";")
     rules = []
     acts = []
@@ -274,20 +266,21 @@ def parse_gcs(text: str) -> Gcs:
             acts.append(label)
         rules.append(TransitionRule(name.text, tuple(clauses), label))
     # without an acts entry, the actions are the rule labels in order of use
-    return Gcs(vars, consts, tuple(acts) if declared is None else declared, tuple(rules))
+    return Gcs(header.get("vars", ()), header.get("consts", ()),
+               header.get("acts", tuple(acts)), tuple(rules))
 
 
 def serialize_gcs(g: Gcs) -> str:
-    """The text form of g; the acts entry is written only when g.acts is not
-    what parse_gcs assumes without it, so files without one stay as they were."""
-    lines = [
-        "gcs {",
-        "  vars: " + ", ".join(g.vars) + ";",
-        "  consts: " + ", ".join(str(c) for c in g.consts) + ";",
-        "}",
-    ]
+    """The text form of g.  An empty entry is not written, since parse_gcs
+    reads a missing vars or consts entry as empty; the acts entry is written
+    only when g.acts is not what parse_gcs assumes without it, so files
+    without one stay as they were."""
+    entries = [("vars", g.vars), ("consts", g.consts)]
     if g.acts != tuple(dict.fromkeys(r.label for r in g.rules)):
-        lines.insert(3, "  acts: " + ", ".join(g.acts) + ";")
+        entries.append(("acts", g.acts))
+    lines = ["gcs {"]
+    lines += [f"  {key}: {', '.join(map(str, values))};" for key, values in entries if values]
+    lines.append("}")
     for r in g.rules:
         body = " & ".join(serialize_clause(c) for c in r.clauses)
         lines.append(f"rule {r.name} [{r.label}]: {body};")
@@ -303,23 +296,23 @@ def parse_formula(text: str) -> Formula:
         f = _parse_or(ts)
     except RecursionError:  # the descent takes a few frames per nesting level
         raise ParseError("the formula nests too deeply to parse") from None
-    if ts.peek().kind != "eof":
-        ts.fail(f"trailing input {ts.peek().text!r}")
+    ts.end()
     return f
 
 
-def _parse_or(ts: _Stream) -> Formula:
-    f = _parse_and(ts)
-    while ts.accept("|"):
-        f = OrF(f, _parse_and(ts))
-    return f
+def _left_fold(operand, op: str, make):
+    """The parser of ``operand (op operand)*``, built up from the left.  It
+    calls operand directly, so each precedence level adds one frame per
+    nesting level, which bounds how deep a text can nest before the
+    RecursionError that parse_formula reports."""
 
+    def parse(ts: _Stream):
+        x = operand(ts)
+        while ts.accept(op):
+            x = make(x, operand(ts))
+        return x
 
-def _parse_and(ts: _Stream) -> Formula:
-    f = _parse_unary(ts)
-    while ts.accept("&"):
-        f = AndF(f, _parse_unary(ts))
-    return f
+    return parse
 
 
 def _parse_guard(ts: _Stream) -> tuple[Clause, ...]:
@@ -335,11 +328,14 @@ def _parse_guard(ts: _Stream) -> tuple[Clause, ...]:
 def _parse_action_list(ts: _Stream) -> Optional[tuple[str, ...]]:
     if not ts.accept("["):
         return None
-    names = [ts.next().text]
-    while ts.accept(","):
-        names.append(ts.next().text)
+    names = tuple(t.text for t in _token_list(ts))
     ts.expect("]")
-    return tuple(names)
+    return names
+
+
+# EF, AG and EG each take an optional [actions] list, then an optional
+# {guard}, then their operand
+_PATH_OPERATORS = {"EF": Ef, "AG": ag, "EG": Eg}
 
 
 def _parse_unary(ts: _Stream) -> Formula:
@@ -356,21 +352,11 @@ def _parse_unary(ts: _Stream) -> Formula:
         act = ts.next()
         ts.expect("]")
         return box(act.text, _parse_unary(ts))
-    if t.text == "EF":
+    if t.text in _PATH_OPERATORS:
         ts.next()
         actions = _parse_action_list(ts)
         guard = _parse_guard(ts)
-        return Ef(_parse_unary(ts), guard, actions)
-    if t.text == "AG":
-        ts.next()
-        actions = _parse_action_list(ts)
-        guard = _parse_guard(ts)
-        return ag(_parse_unary(ts), guard, actions)
-    if t.text == "EG":
-        ts.next()
-        actions = _parse_action_list(ts)
-        guard = _parse_guard(ts)
-        return Eg(_parse_unary(ts), guard, actions)
+        return _PATH_OPERATORS[t.text](_parse_unary(ts), guard, actions)
     if t.text == "E":
         ts.next()
         ts.expect("(")
@@ -401,6 +387,10 @@ def _parse_primary(ts: _Stream) -> Formula:
     ts.fail(f"expected a formula, found {t.text or 'end of input'!r}")
 
 
+_parse_and = _left_fold(_parse_unary, "&", AndF)
+_parse_or = _left_fold(_parse_and, "|", OrF)
+
+
 def serialize_formula(f: Formula) -> str:
     def guard_str(guard: Sequence[Clause]) -> str:
         if not guard:
@@ -422,11 +412,9 @@ def serialize_formula(f: Formula) -> str:
         if isinstance(f, Diamond):
             s = f"<{f.action}>{guard_str(f.guard)} " + go(f.f, 2)
             return f"({s})" if prec >= 2 else s
-        if isinstance(f, Ef):
-            s = f"EF{acts_str(f.actions)}{guard_str(f.guard)} " + go(f.f, 2)
-            return f"({s})" if prec >= 2 else s
-        if isinstance(f, Eg):
-            s = f"EG{acts_str(f.actions)}{guard_str(f.guard)} " + go(f.f, 2)
+        if isinstance(f, (Ef, Eg)):
+            head = "EF" if isinstance(f, Ef) else "EG"
+            s = f"{head}{acts_str(f.actions)}{guard_str(f.guard)} " + go(f.f, 2)
             return f"({s})" if prec >= 2 else s
         if isinstance(f, Eu):
             return f"E({go(f.left, 0)} U {go(f.right, 0)})"
@@ -451,17 +439,11 @@ def parse_valuation(text: str) -> Valuation:
     out: Valuation = {}
     ts = _Stream(tokenize(text))
     while ts.peek().kind != "eof":
-        name = ts.next()
-        if name.kind != "name":
-            raise ParseError(f"expected a variable, found {name.text!r}",
-                             name.line, name.col)
+        name = ts.take(("name",), "a variable")
         ts.expect("=")
-        val = ts.next()
-        if val.kind != "num":
-            raise ParseError(f"expected an integer, found {val.text!r}",
-                             val.line, val.col)
+        val = ts.take(("num",), "an integer")
         if name.text in out:
-            raise ParseError(f"{name.text!r} is assigned twice", name.line, name.col)
+            ts.fail(f"{name.text!r} is assigned twice", name)
         out[name.text] = int(val.text)
         if ts.peek().kind != "eof":
             ts.expect(",")
@@ -516,31 +498,11 @@ def serialize_lts(l: FiniteLts) -> str:
 # set is an array of its members' graphs.  dump_set is the stable text form.
 
 
-def _weight_to_json(w: float):
-    if w == POS_INF:
-        return "+inf"
-    return int(w)
-
-
-def _graphs_json(ws: np.ndarray, u: Universe) -> list[dict]:
-    """One JSON graph per matrix of the stack ws over the universe u, with
-    the entries above the universe's floor as its edges (Universe.floor)."""
-    nodes, out = u.nodes, []
-    for w, keep in zip(ws, ws > u.floor):
-        i, j = np.nonzero(keep)
-        edges = [
-            {"from": nodes[a], "to": nodes[b], "weight": _weight_to_json(x)}
-            for a, b, x in zip(i.tolist(), j.tolist(), w[keep].tolist())
-        ]
-        out.append({"nodes": list(nodes), "edges": edges})
-    return out
-
-
 def mg_to_json(m: MonotonicityGraph) -> dict:
     """Nodes plus finite/+inf edges; -inf edges are omitted.  Valid edges
     between two constants and non-positive self-edges carry no information
     and are dropped."""
-    return _graphs_json(m.w[None], m.u)[0]
+    return json.loads(_dump(m.w[None], m.u))[0]
 
 
 def _json_int(x, what: str) -> int:
@@ -586,7 +548,7 @@ def mg_from_json(doc: dict) -> MonotonicityGraph:
 
 
 def set_to_json(s: SymbolicSet) -> list:
-    return _graphs_json(s.w, s.u)
+    return json.loads(_dump(s.w, s.u))
 
 
 def set_from_json(
@@ -607,12 +569,19 @@ def set_from_json(
 
 
 def dump_set(s: SymbolicSet) -> str:
-    """The text of json.dumps(set_to_json(s), indent=2), written straight
-    from the stack: the node list and the head of every (from, to) edge are
-    built once, and only the kept weights are formatted one by one."""
-    if not len(s.w):
+    """The stable text form of s: its members' graph JSON, indented by 2."""
+    return _dump(s.w, s.u)
+
+
+def _dump(ws: np.ndarray, u: Universe) -> str:
+    """The JSON text, indented by 2, of one graph per matrix of the stack ws
+    over the universe u, with the entries above the universe's floor as its
+    edges (Universe.floor).  It is written straight from the stack: the node
+    list and the head of every (from, to) edge are built once, and only the
+    kept weights are formatted one by one."""
+    if not len(ws):
         return "[]"
-    nodes = s.u.nodes
+    nodes = u.nodes
     n = len(nodes)
     lits = [json.dumps(x) for x in nodes]
     node_list = '"nodes": [\n      ' + ",\n      ".join(lits) + "\n    ]" if lits else '"nodes": []'
@@ -621,11 +590,11 @@ def dump_set(s: SymbolicSet) -> str:
         for a in lits
         for b in lits
     ]
-    keep = s.w > s.u.floor
-    _, pair = np.nonzero(keep.reshape(len(s.w), n * n))
+    keep = ws > u.floor
+    _, pair = np.nonzero(keep.reshape(len(ws), n * n))
     edges = [
         heads[k] + ('"+inf"' if x == POS_INF else str(int(x))) + "\n      }"
-        for k, x in zip(pair.tolist(), s.w[keep].tolist())
+        for k, x in zip(pair.tolist(), ws[keep].tolist())
     ]
     members, start = [], 0
     for stop in np.cumsum(keep.sum(axis=(1, 2))).tolist():
@@ -648,30 +617,11 @@ def parse_qbf(text: str) -> Qbf:
     prefix = []
     while ts.peek().text in ("A", "E"):
         q = ts.next().text
-        v = ts.next()
-        if v.kind != "name":
-            raise ParseError(f"expected a variable after {q}, found {v.text!r}",
-                             v.line, v.col)
-        prefix.append((q, v.text))
+        prefix.append((q, ts.take(("name",), f"a variable after {q}").text))
     ts.expect(":")
     matrix = _parse_bool_or(ts)
-    if ts.peek().kind != "eof":
-        ts.fail(f"trailing input {ts.peek().text!r}")
+    ts.end()
     return Qbf(tuple(prefix), matrix)
-
-
-def _parse_bool_or(ts: _Stream) -> BoolExpr:
-    e = _parse_bool_and(ts)
-    while ts.accept("|"):
-        e = BOr(e, _parse_bool_and(ts))
-    return e
-
-
-def _parse_bool_and(ts: _Stream) -> BoolExpr:
-    e = _parse_bool_atom(ts)
-    while ts.accept("&"):
-        e = BAnd(e, _parse_bool_atom(ts))
-    return e
 
 
 def _parse_bool_atom(ts: _Stream) -> BoolExpr:
@@ -681,11 +631,11 @@ def _parse_bool_atom(ts: _Stream) -> BoolExpr:
         e = _parse_bool_or(ts)
         ts.expect(")")
         return e
-    t = ts.next()
-    if t.kind != "name":
-        raise ParseError(f"expected a boolean variable, found {t.text!r}",
-                         t.line, t.col)
-    return BVar(t.text)
+    return BVar(ts.take(("name",), "a boolean variable").text)
+
+
+_parse_bool_and = _left_fold(_parse_bool_atom, "&", BAnd)
+_parse_bool_or = _left_fold(_parse_bool_and, "|", BOr)
 
 
 def serialize_qbf(q: Qbf) -> str:

@@ -165,15 +165,20 @@ def complement(s: SymbolicSet) -> SymbolicSet:
     """De Morgan over the members' constraints: an entry w[i, j] = k above
     the floor (x_i - x_j >= k; a closed member's diagonal and constant pairs
     lie on it) negates to the single edge w[j, i] = 1 - k; the conjunction of
-    per-member unions is distributed back into a union, normalising after
-    every step."""
+    per-member unions is distributed back into a union, one member at a
+    time: every row so far meets every negated edge of the member, with one
+    normalisation per member."""
+    if s.is_empty():
+        return full_set(s.vars, s.consts)
     n = s.w.shape[1]
-    result = full_set(s.vars, s.consts)
+    result = None
     for w in s.w:
         i, j = np.nonzero(w > s.u.floor)
         negs = np.full((len(i), n, n), NEG_INF)
         negs[np.arange(len(i)), j, i] = 1 - w[i, j]
-        result = intersect_sets(result, _normalise(s.u, negs))
+        if result is not None:
+            negs = np.maximum(result.w[:, None], negs[None, :]).reshape(-1, n, n)
+        result = _normalise(s.u, negs)
         if result.is_empty():
             break
     return result

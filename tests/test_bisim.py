@@ -256,3 +256,15 @@ def test_equiv_check_alphabet_mismatch(countdown):
     l = lts(("c",), ("s", "c", "s"))
     with pytest.raises(ValueError):
         equiv_check(countdown, {"x": 0, "y": 0}, l, "s")
+
+
+def test_equiv_check_refuses_an_unknown_mode():
+    # p -tau-> q -a-> q is weakly but not strongly bisimilar to r -a-> r; a
+    # misspelt mode must not fall back to the weak answer
+    l = lts(("tau", "a"), ("p", "tau", "q"), ("q", "a", "q"), ("r", "a", "r"))
+    g = encode_finite_lts(l)
+    assert not equiv_check(g, {"state": 1}, l, "r", mode="strong")
+    assert equiv_check(g, {"state": 1}, l, "r", mode="weak")
+    for mode in ("Strong", "", "branching"):
+        with pytest.raises(ValueError, match="unknown bisimulation mode"):
+            equiv_check(g, {"state": 1}, l, "r", mode=mode)

@@ -79,7 +79,8 @@ def test_rule_label_optional():
 
 def test_gcs_round_trips():
     rng = random.Random(71)
-    docs = [COUNTDOWN_TEXT]
+    # a system without constants or without variables writes no empty entry
+    docs = [COUNTDOWN_TEXT, "gcs { vars: x; }\nrule r [a]: x > x';", "gcs { consts: 0; }"]
     for i in range(24):
         n_vars = rng.randint(1, 3)
         vars = tuple("xyz"[:n_vars])
@@ -119,6 +120,12 @@ def test_gcs_acts_entry():
     assert serialize_gcs(g).splitlines()[3] == "  acts: b, a, c;"
     with pytest.raises(ParseError):
         parse_gcs("gcs { vars: x; acts: a, >; }")
+
+
+def test_header_token_kinds_are_checked_before_repeats():
+    with pytest.raises(ParseError) as e:
+        parse_gcs("gcs { vars: x, x, 1; }")
+    assert str(e.value) == "bad variable name '1' at line 1, column 19"
 
 
 def test_tokenizer_lines_and_columns():

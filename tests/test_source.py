@@ -119,3 +119,18 @@ def test_every_engine_function_has_a_caller():
                 uncalled.append(f"{module}:{d.name}")
     assert uncalled == []
     assert judges <= defined  # no judge outlives its function
+
+
+def test_token_positions_are_read_only_by_the_lexer_and_the_stream():
+    # a parser reports a position through _Stream (fail, expect, take), so a
+    # lexer that works positions out another way changes tokenize and
+    # _Stream alone; ParseError keeps what it is given
+    owners = {"tokenize", "_Stream", "ParseError"}
+    found = []
+    for path in sorted(Path(gapmc.__file__).parent.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if path.name == "frontend.py" and getattr(top, "name", None) in owners:
+                continue
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute) and node.attr in ("line", "col")]
+    assert found == []
