@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 import re
+from functools import reduce
+from itertools import filterfalse
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -69,15 +71,10 @@ class ParseError(ValueError):
 
 # -- tokenizer ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<num>-?\d+)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*'?)
-  | (?P<op>->|>=|=|>|<|\{|\}|\(|\)|\[|\]|!|&|\||,|;|:|-)
-    """,
-    re.VERBOSE,
-)
+# One lexeme, the alternatives tried in this order: whitespace or a comment,
+# a number, a name, an operator.  A token's kind is read back from its first
+# characters with the same classes (\s is str.isspace, \d str.isdecimal).
+_LEXEME = re.compile(r"\s+|#[^\n]*|-?\d+|[A-Za-z_][A-Za-z_0-9]*'?|->|>=|[=><{}()\[\]!&|,;:-]")
 
 
 class Token(NamedTuple):
@@ -87,72 +84,86 @@ class Token(NamedTuple):
     col: int
 
 
+def _kind(text: str) -> str:
+    c = text[:1]
+    if c.isdecimal() or (c == "-" and text[1:2].isdecimal()):
+        return "num"
+    if "a" <= c <= "z" or "A" <= c <= "Z" or c == "_":
+        return "name"
+    return "op" if c else "eof"
+
+
 def tokenize(text: str) -> list[Token]:
-    out = []
-    line, line_start, pos = 1, 0, 0  # line_start: offset of the line's first character
-    for m in _TOKEN_RE.finditer(text):
-        start = m.start()
-        if start != pos:
-            break  # the search skipped a character no lexeme starts with
-        pos = m.end()
-        kind = m.lastgroup
-        if kind != "ws":
-            out.append(Token(kind, m.group(), line, start - line_start + 1))
-            continue
-        # only whitespace and comments can hold a newline
-        last = text.rfind("\n", start, pos)
-        if last >= 0:
-            line += text.count("\n", start, pos)
-            line_start = last + 1
-    if pos != len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-    out.append(Token("eof", "", line, pos - line_start + 1))
-    return out
+    """Every token with its kind, line and column, then an "eof" token."""
+    ts = _Stream(text)
+    return [Token(_kind(t), t, *at) for t, at in zip(ts.tokens, ts.positions())]
 
 
 class _Stream:
-    """The tokens of one text; every positioned error is raised from here."""
+    """The tokens of one text, lexed in one findall, as strings ending in ""
+    for the end of input.  Every positioned error is raised from here; lines
+    and columns are worked out only then."""
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.lexemes = _LEXEME.findall(text)
+        if sum(map(len, self.lexemes)) != len(text):  # findall skipped a character
+            pos = 0
+            while m := _LEXEME.match(text, pos):
+                pos = m.end()
+            line = text.count("\n", 0, pos) + 1
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - text.rfind("\n", 0, pos))
+        self.tokens = [t for t in filterfalse(str.isspace, self.lexemes) if t[0] != "#"] + [""]
         self.i = 0
 
-    def peek(self) -> Token:
+    def positions(self) -> list[tuple[int, int]]:
+        """The line and column of every token, the sentinel's included."""
+        out, line, col = [], 1, 1
+        for lexeme in self.lexemes:
+            if not lexeme.isspace() and lexeme[0] != "#":
+                out.append((line, col))
+            if "\n" in lexeme:
+                line, col = line + lexeme.count("\n"), len(lexeme) - lexeme.rfind("\n")
+            else:
+                col += len(lexeme)
+        out.append((line, col))
+        return out
+
+    def peek(self) -> str:
         return self.tokens[self.i]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         t = self.tokens[self.i]
-        if t.kind != "eof":
+        if t:
             self.i += 1
         return t
 
-    def accept(self, text: str) -> Optional[Token]:
-        t = self.peek()
-        if t.text == text and t.kind != "eof":
-            return self.next()
-        return None
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.i] == text:
+            self.i += 1
+            return True
+        return False
 
-    def expect(self, text: str) -> Token:
-        t = self.next()
-        if t.text != text:
-            self.fail(f"expected {text!r}, found {t.text or 'end of input'!r}", t)
-        return t
+    def expect(self, text: str) -> None:
+        t = self.tokens[self.i]
+        if t != text:
+            self.fail(f"expected {text!r}, found {t or 'end of input'!r}")
+        self.i += 1
 
-    def take(self, kinds: tuple[str, ...], what: str) -> Token:
+    def take(self, kinds: tuple[str, ...], what: str) -> str:
         """The next token, which must be of one of the given kinds."""
         t = self.tokens[self.i]
-        if t.kind not in kinds:
-            self.fail(f"expected {what}, found {t.text!r}", t)
+        if _kind(t) not in kinds:
+            self.fail(f"expected {what}, found {t!r}")
         self.i += 1  # no kind asked for is "eof"
         return t
 
     def end(self) -> None:
-        if self.peek().kind != "eof":
-            self.fail(f"trailing input {self.peek().text!r}")
+        if self.peek():
+            self.fail(f"trailing input {self.peek()!r}")
 
-    def fail(self, message: str, at: Optional[Token] = None):
-        t = self.peek() if at is None else at
-        raise ParseError(message, t.line, t.col)
+    def fail(self, message: str, at: Optional[int] = None):
+        """Raise a ParseError at the token of index at, by default the next."""
+        raise ParseError(message, *self.positions()[self.i if at is None else at])
 
 
 # -- clauses -----------------------------------------------------------------
@@ -160,7 +171,7 @@ class _Stream:
 
 def _parse_term(ts: _Stream) -> Node:
     t = ts.take(("num", "name"), "a variable or constant")
-    return int(t.text) if t.kind == "num" else t.text
+    return int(t) if _kind(t) == "num" else t
 
 
 def _parse_clause_group(ts: _Stream) -> list[Clause]:
@@ -170,14 +181,15 @@ def _parse_clause_group(ts: _Stream) -> list[Clause]:
     if ts.accept("-"):
         right = _parse_term(ts)
         ts.expect(">=")
-        return [Clause(left, right, int(ts.take(("num",), "an integer offset").text))]
-    op = ts.next()
-    if op.text not in (">=", ">", "="):
-        ts.fail(f"expected a comparison, found {op.text!r}", op)
+        return [Clause(left, right, int(ts.take(("num",), "an integer offset")))]
+    op = ts.peek()
+    if op not in (">=", ">", "="):
+        ts.fail(f"expected a comparison, found {op!r}")
+    ts.next()
     right = _parse_term(ts)
-    if op.text == ">=":
+    if op == ">=":
         return [Clause(left, right, 0)]
-    if op.text == ">":
+    if op == ">":
         return [Clause(left, right, 1)]
     return [Clause(left, right, 0), Clause(right, left, 0)]
 
@@ -191,8 +203,8 @@ def _parse_clause_list(ts: _Stream) -> list[Clause]:
 
 def parse_clauses(text: str) -> tuple[Clause, ...]:
     """A ``&``-separated clause conjunction, e.g. ``x > y & y >= 0``."""
-    ts = _Stream(tokenize(text))
-    if ts.peek().kind == "eof":
+    ts = _Stream(text)
+    if not ts.peek():
         return ()
     clauses = _parse_clause_list(ts)
     ts.end()
@@ -206,68 +218,65 @@ def serialize_clause(c: Clause) -> str:
 # -- systems -----------------------------------------------------------------
 
 
-def _token_list(ts: _Stream) -> list[Token]:
-    """A comma-separated list of single tokens, as in a header entry."""
-    out = [ts.next()]
-    while ts.accept(","):
-        out.append(ts.next())
+def _token_list(ts: _Stream) -> list[int]:
+    """The indices of a comma-separated list of single tokens, as in a header entry."""
+    out = [ts.i]
+    while ts.next() and ts.accept(","):
+        out.append(ts.i)
     return out
 
 
 # header entry -> (does a token qualify, the value it gives, the noun for a bad
 # token, the noun for a repeated value)
 _HEADER = {
-    "vars": (lambda t: t.kind == "name" and not t.text.endswith("'"), str,
+    "vars": (lambda t: _kind(t) == "name" and not t.endswith("'"), str,
              "variable name", "variable"),
-    "consts": (lambda t: t.kind == "num", int, "constant", "constant"),
-    "acts": (lambda t: t.kind in ("name", "num"), str, "action name", "action"),
+    "consts": (lambda t: _kind(t) == "num", int, "constant", "constant"),
+    "acts": (lambda t: _kind(t) in ("name", "num"), str, "action name", "action"),
 }
 
 
 def parse_gcs(text: str) -> Gcs:
-    ts = _Stream(tokenize(text))
+    ts = _Stream(text)
     ts.expect("gcs")
     ts.expect("{")
     header: dict[str, tuple] = {}
     while not ts.accept("}"):
+        at = ts.i
         key = ts.next()
-        if key.text in header:
-            ts.fail(f"repeated header entry {key.text!r}", key)
+        if key in header:
+            ts.fail(f"repeated header entry {key!r}", at)
         ts.expect(":")
-        if key.text not in _HEADER:
-            ts.fail(f"unknown header entry {key.text!r}", key)
-        good, value, bad, noun = _HEADER[key.text]
-        tokens = _token_list(ts)
-        for t in tokens:  # every token's kind first, then repeats
+        if key not in _HEADER:
+            ts.fail(f"unknown header entry {key!r}", at)
+        good, value, bad, noun = _HEADER[key]
+        tokens = [(j, ts.tokens[j]) for j in _token_list(ts)]
+        for j, t in tokens:  # every token's kind first, then repeats
             if not good(t):
-                ts.fail(f"bad {bad} {t.text!r}", t)
-        values = [value(t.text) for t in tokens]
-        seen = set()
-        for t, v in zip(tokens, values):
-            if v in seen:
-                ts.fail(f"repeated {noun} {t.text!r}", t)
-            seen.add(v)
-        header[key.text] = tuple(values)
+                ts.fail(f"bad {bad} {t!r}", j)
+        values: dict = {}  # in order; a repeated value is refused
+        for j, t in tokens:
+            if value(t) in values:
+                ts.fail(f"repeated {noun} {t!r}", j)
+            values[value(t)] = None
+        header[key] = tuple(values)
         ts.expect(";")
     rules = []
-    acts = []
-    while ts.peek().kind != "eof":
+    while ts.peek():
         ts.expect("rule")
         name = ts.next()
         if ts.accept("["):
-            label = ts.next().text
+            label = ts.next()
             ts.expect("]")
         else:
             label = "act"  # unlabeled rules share one implicit action
         ts.expect(":")
         clauses = _parse_clause_list(ts)
         ts.expect(";")
-        if label not in acts:
-            acts.append(label)
-        rules.append(TransitionRule(name.text, tuple(clauses), label))
+        rules.append(TransitionRule(name, tuple(clauses), label))
     # without an acts entry, the actions are the rule labels in order of use
-    return Gcs(header.get("vars", ()), header.get("consts", ()),
-               header.get("acts", tuple(acts)), tuple(rules))
+    acts = header.get("acts", tuple(dict.fromkeys(r.label for r in rules)))
+    return Gcs(header.get("vars", ()), header.get("consts", ()), acts, tuple(rules))
 
 
 def serialize_gcs(g: Gcs) -> str:
@@ -291,7 +300,7 @@ def serialize_gcs(g: Gcs) -> str:
 
 
 def parse_formula(text: str) -> Formula:
-    ts = _Stream(tokenize(text))
+    ts = _Stream(text)
     try:
         f = _parse_or(ts)
     except RecursionError:  # the descent takes a few frames per nesting level
@@ -304,7 +313,7 @@ def _left_fold(operand, op: str, make):
     """The parser of ``operand (op operand)*``, built up from the left.  It
     calls operand directly, so each precedence level adds one frame per
     nesting level, which bounds how deep a text can nest before the
-    RecursionError that parse_formula reports."""
+    RecursionError that parse_formula and parse_qbf report."""
 
     def parse(ts: _Stream):
         x = operand(ts)
@@ -316,9 +325,7 @@ def _left_fold(operand, op: str, make):
 
 
 def _parse_guard(ts: _Stream) -> tuple[Clause, ...]:
-    if not ts.accept("{"):
-        return ()
-    if ts.accept("}"):
+    if not ts.accept("{") or ts.accept("}"):
         return ()
     clauses = _parse_clause_list(ts)
     ts.expect("}")
@@ -328,7 +335,7 @@ def _parse_guard(ts: _Stream) -> tuple[Clause, ...]:
 def _parse_action_list(ts: _Stream) -> Optional[tuple[str, ...]]:
     if not ts.accept("["):
         return None
-    names = tuple(t.text for t in _token_list(ts))
+    names = tuple(ts.tokens[j] for j in _token_list(ts))
     ts.expect("]")
     return names
 
@@ -346,18 +353,17 @@ def _parse_unary(ts: _Stream) -> Formula:
         act = ts.next()
         ts.expect(">")
         guard = _parse_guard(ts)
-        return Diamond(act.text, _parse_unary(ts), guard)
-    if t.text == "[":
-        ts.next()
+        return Diamond(act, _parse_unary(ts), guard)
+    if ts.accept("["):
         act = ts.next()
         ts.expect("]")
-        return box(act.text, _parse_unary(ts))
-    if t.text in _PATH_OPERATORS:
+        return box(act, _parse_unary(ts))
+    if t in _PATH_OPERATORS:
         ts.next()
         actions = _parse_action_list(ts)
         guard = _parse_guard(ts)
-        return _PATH_OPERATORS[t.text](_parse_unary(ts), guard, actions)
-    if t.text == "E":
+        return _PATH_OPERATORS[t](_parse_unary(ts), guard, actions)
+    if t == "E":
         ts.next()
         ts.expect("(")
         left = _parse_or(ts)
@@ -378,13 +384,9 @@ def _parse_primary(ts: _Stream) -> Formula:
         f = _parse_or(ts)
         ts.expect(")")
         return f
-    if t.kind in ("name", "num"):
-        group = _parse_clause_group(ts)
-        f: Formula = Atom(group[0])
-        for c in group[1:]:
-            f = AndF(f, Atom(c))
-        return f
-    ts.fail(f"expected a formula, found {t.text or 'end of input'!r}")
+    if _kind(t) in ("name", "num"):
+        return reduce(AndF, map(Atom, _parse_clause_group(ts)))
+    ts.fail(f"expected a formula, found {t or 'end of input'!r}")
 
 
 _parse_and = _left_fold(_parse_unary, "&", AndF)
@@ -405,8 +407,7 @@ def serialize_formula(f: Formula) -> str:
         if isinstance(f, TrueF):
             return "true"
         if isinstance(f, Atom):
-            s = "(" + serialize_clause(f.clause) + ")"
-            return s
+            return "(" + serialize_clause(f.clause) + ")"
         if isinstance(f, NotF):
             return "!" + go(f.f, 2)
         if isinstance(f, Diamond):
@@ -437,15 +438,16 @@ def serialize_formula(f: Formula) -> str:
 def parse_valuation(text: str) -> Valuation:
     """Comma-separated assignments, e.g. ``x=3, y=0``."""
     out: Valuation = {}
-    ts = _Stream(tokenize(text))
-    while ts.peek().kind != "eof":
+    ts = _Stream(text)
+    while ts.peek():
+        at = ts.i
         name = ts.take(("name",), "a variable")
         ts.expect("=")
         val = ts.take(("num",), "an integer")
-        if name.text in out:
-            ts.fail(f"{name.text!r} is assigned twice", name)
-        out[name.text] = int(val.text)
-        if ts.peek().kind != "eof":
+        if name in out:
+            ts.fail(f"{name!r} is assigned twice", at)
+        out[name] = int(val)
+        if ts.peek():
             ts.expect(",")
     return out
 
@@ -454,33 +456,27 @@ def serialize_valuation(v: Valuation) -> str:
     return ", ".join(f"{x}={v[x]}" for x in sorted(v))
 
 
-_LTS_LINE = re.compile(r"^\s*(\w+)\s*-\s*(\w+)\s*->\s*(\w+)\s*$")
+_LTS_LINE = re.compile(r"(\w+)(?:\s*-\s*(\w+)\s*->\s*(\w+))?")
 
 
 def parse_lts(text: str) -> FiniteLts:
     """One transition per line: ``s -a-> t``.  A line holding a single name
     declares an isolated state."""
-    states: list[str] = []
-    acts: list[str] = []
+    states: dict[str, None] = {}  # dicts as sets in order of first mention
+    acts: dict[str, None] = {}
     transitions = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if re.fullmatch(r"\w+", line):
-            if line not in states:
-                states.append(line)
-            continue
-        m = _LTS_LINE.match(line)
+        m = _LTS_LINE.fullmatch(line)
         if m is None:
             raise ParseError(f"bad transition line {line!r}", ln, 1)
         s, a, t = m.groups()
-        for st in (s, t):
-            if st not in states:
-                states.append(st)
-        if a not in acts:
-            acts.append(a)
-        transitions.add((s, a, t))
+        states[s] = None
+        if a is not None:
+            states[t] = acts[a] = None
+            transitions.add((s, a, t))
     return FiniteLts(tuple(states), tuple(acts), frozenset(transitions))
 
 
@@ -577,25 +573,23 @@ def _dump(ws: np.ndarray, u: Universe) -> str:
     """The JSON text, indented by 2, of one graph per matrix of the stack ws
     over the universe u, with the entries above the universe's floor as its
     edges (Universe.floor).  It is written straight from the stack: the node
-    list and the head of every (from, to) edge are built once, and only the
-    kept weights are formatted one by one."""
+    list, the head of every (from, to) edge and the tail of every distinct
+    weight are built once; one array sum joins heads to tails."""
     if not len(ws):
         return "[]"
-    nodes = u.nodes
-    n = len(nodes)
-    lits = [json.dumps(x) for x in nodes]
+    lits = [json.dumps(x) for x in u.nodes]
     node_list = '"nodes": [\n      ' + ",\n      ".join(lits) + "\n    ]" if lits else '"nodes": []'
-    heads = [
+    heads = np.array([
         f'      {{\n        "from": {a},\n        "to": {b},\n        "weight": '
         for a in lits
         for b in lits
-    ]
+    ], dtype=object)
     keep = ws > u.floor
-    _, pair = np.nonzero(keep.reshape(len(ws), n * n))
-    edges = [
-        heads[k] + ('"+inf"' if x == POS_INF else str(int(x))) + "\n      }"
-        for k, x in zip(pair.tolist(), ws[keep].tolist())
-    ]
+    _, pair = np.nonzero(keep.reshape(len(ws), -1))
+    weights, which = np.unique(ws[keep], return_inverse=True)
+    tails = np.array([('"+inf"' if x == POS_INF else str(int(x))) + "\n      }"
+                      for x in weights.tolist()], dtype=object)
+    edges = (heads[pair] + tails[which]).tolist()
     members, start = [], 0
     for stop in np.cumsum(keep.sum(axis=(1, 2))).tolist():
         if stop == start:
@@ -613,13 +607,16 @@ def _dump(ws: np.ndarray, u: Universe) -> str:
 def parse_qbf(text: str) -> Qbf:
     """Prenex QBF: quantifier prefix, a colon, then a boolean formula over
     ``&``, ``|``, ``!`` and parentheses, e.g. ``A x E y : x | !y``."""
-    ts = _Stream(tokenize(text))
+    ts = _Stream(text)
     prefix = []
-    while ts.peek().text in ("A", "E"):
-        q = ts.next().text
-        prefix.append((q, ts.take(("name",), f"a variable after {q}").text))
+    while ts.peek() in ("A", "E"):
+        q = ts.next()
+        prefix.append((q, ts.take(("name",), f"a variable after {q}")))
     ts.expect(":")
-    matrix = _parse_bool_or(ts)
+    try:
+        matrix = _parse_bool_or(ts)
+    except RecursionError:  # as in parse_formula
+        raise ParseError("the QBF nests too deeply to parse") from None
     ts.end()
     return Qbf(tuple(prefix), matrix)
 
@@ -631,7 +628,7 @@ def _parse_bool_atom(ts: _Stream) -> BoolExpr:
         e = _parse_bool_or(ts)
         ts.expect(")")
         return e
-    return BVar(ts.take(("name",), "a boolean variable").text)
+    return BVar(ts.take(("name",), "a boolean variable"))
 
 
 _parse_bool_and = _left_fold(_parse_bool_atom, "&", BAnd)

@@ -1,14 +1,18 @@
 """Command-line interface: subcommands, exit codes, output channels."""
 
 import json
+import os
 import pathlib
 import random
 import re
 import shlex
+import subprocess
+import sys
 import time
 
 import pytest
 
+import gapmc
 from gapmc import oracle
 from gapmc.cli import main
 from gapmc.frontend import serialize_formula, serialize_gcs, serialize_valuation
@@ -240,6 +244,52 @@ def test_gen_qbf_deep_matrix_exits_2_without_a_traceback(matrix, tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith("error:") and "nests too deeply" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_gen_qbf_deeply_nested_parentheses_exit_2(tmp_path, capsys):
+    out = tmp_path / "inst"
+    assert main(["gen-qbf", "E x : " + "(" * 2000 + "x" + ")" * 2000, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the QBF nests too deeply to parse\n"
+    assert not out.exists()
+
+
+def _alone(argv):
+    """Exit code, stdout and stderr of argv as the only call of a fresh
+    interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gapmc.__file__).parents[1]), "COLUMNS": "80"}
+    run = subprocess.run([sys.executable, "-m", "gapmc.cli", *argv], capture_output=True,
+                         text=True, env=env, check=False)
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_one_parser_serves_every_call_of_a_process(system_file, tmp_path, capsys, monkeypatch):
+    # cli.main parses with one parser built at import; no call may leave a
+    # trace in the next, whatever it was (a verdict, a usage error, --help,
+    # an option given once and then left out)
+    monkeypatch.setenv("COLUMNS", "80")
+    lts = tmp_path / "loop.lts"
+    lts.write_text("d\n")
+    calls = [
+        ["check", system_file, "x=3, y=3", "EF (x = 0 & y = 0)", "--max-pool", "1"],
+        ["check", system_file, "x=3, y=3", "EF (x = 0 & y = 0)"],
+        ["denote", system_file, "<a> true", "--metrics"],
+        ["check"],
+        ["--help"],
+        ["denote", system_file, "x = 0 & y = 0"],
+        ["bisim", system_file, "x=-5, y=-5", str(lts), "d", "--mode", "weak"],
+        ["bisim", system_file, "x=1, y=0", str(lts), "d"],
+        ["denote", "--help"],
+        ["check", system_file, "x=1, y=0", "EF (x = 0)", "--max-pool", "-1"],
+        ["check", system_file, "x=1, y=0", "EF (x = 0)"],
+    ]
+    alone = {i: _alone(argv) for i, argv in enumerate(calls)}
+    assert {code for code, _, _ in alone.values()} == {0, 1, 2}
+    for i in [*range(len(calls)), *reversed(range(len(calls))), 1, 0, 1, 4, 3, 2]:
+        code = main(list(calls[i]))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == alone[i], calls[i]
 
 
 def test_oracle_diff(capsys):

@@ -2,8 +2,12 @@
 
 import json
 import random
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapmc.frontend import (
     ParseError,
@@ -26,7 +30,7 @@ from gapmc.frontend import (
     tokenize,
 )
 from gapmc.logic import AndF, Atom, Diamond, Ef, Eg, Eu, NotF, OrF, TrueF
-from gapmc.mg import NEG_INF, POS_INF, Clause, from_constraint, is_const
+from gapmc.mg import NEG_INF, POS_INF, Clause, from_constraint, is_const, universe
 from gapmc.oracle import random_window_closed_gcs
 from gapmc.sets import SymbolicSet, full_set, make_set, same_set
 
@@ -146,6 +150,98 @@ def test_tokenizer_lines_and_columns():
         ("num", "-3", 5, 28), ("op", ";", 5, 30),
         ("eof", "", 6, 1),
     ]
+
+
+# a lexer that takes one match object per lexeme and counts lines as it goes:
+# the judge of tokens, kinds, lines and columns, and of where a bad character
+# is seen
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+|\#[^\n]*)
+  | (?P<num>-?\d+)
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*'?)
+  | (?P<op>->|>=|=|>|<|\{|\}|\(|\)|\[|\]|!|&|\||,|;|:|-)
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(text):
+    out = []
+    line, line_start, pos = 1, 0, 0
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:
+            break
+        pos = m.end()
+        kind = m.lastgroup
+        if kind != "ws":
+            out.append((kind, m.group(), line, start - line_start + 1))
+            continue
+        last = text.rfind("\n", start, pos)
+        if last >= 0:
+            line += text.count("\n", start, pos)
+            line_start = last + 1
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    out.append(("eof", "", line, pos - line_start + 1))
+    return out
+
+
+def _outcome(f, text):
+    """What f makes of text: its result, or the error it raises (a library
+    refusal such as an unquantified QBF variable is a ValueError)."""
+    try:
+        return "ok", f(text)
+    except ParseError as e:
+        return "error", (str(e), e.line, e.col)
+    except ValueError as e:
+        return "refused", str(e)
+
+
+# the lexeme alphabet with keywords of every grammar, comments, tabs and
+# newlines, and characters no lexeme starts with or that only \d or \s
+# would take: a non-ASCII digit, a superscript, a non-ASCII letter
+_FRAGMENTS = [
+    "gcs", "vars", "consts", "acts", "rule", "true", "false", "EF", "AG", "EG", "E", "A", "U",
+    "x", "y'", "_a1", "0", "12", "-3", "-", "->", ">=", ">", "<", "=", "!", "&", "|", ",", ";",
+    ":", "{", "}", "(", ")", "[", "]", "'", "# note", "#", " ", "  ", "\t", "\n",
+    "\u0663", "\u00b2", "\u00e9", "@", "$",
+]
+_TEXTS = st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join)
+_PARSERS = (parse_gcs, parse_formula, parse_valuation, parse_clauses, parse_qbf)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_TEXTS)
+def test_tokenize_matches_the_reference_lexer(text):
+    assert _outcome(lambda t: [tuple(x) for x in tokenize(t)], text) == _outcome(_reference_tokenize, text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_TEXTS | st.sampled_from([COUNTDOWN_TEXT, "EF[a, b] {x > x'} !(x - y >= -2) | <a> true",
+                                  "x=3, y=-1", "A x E y : x & !(y | x)", "x > y & y = 0"]))
+def test_parsers_report_what_the_reference_lexer_sees(text):
+    # a bad character is reported where the reference lexer sees it; any
+    # other result or error is the same on the text's tokens written one per
+    # line, an error at the same token
+    try:
+        tokens = _reference_tokenize(text)
+    except ParseError as e:
+        for parse in _PARSERS:
+            assert _outcome(parse, text) == ("error", (str(e), e.line, e.col))
+        return
+    relaid = "".join(t[1] + "\n" for t in tokens[:-1])
+    index = {(line, col): k for k, (_, _, line, col) in enumerate(tokens)}
+    for parse in _PARSERS:
+        got, want = _outcome(parse, text), _outcome(parse, relaid)
+        if got[0] != "error" or not got[1][1]:  # no position
+            assert got == want
+            continue
+        message, line, col = got[1]
+        k = index[line, col]
+        assert want == ("error", (message.replace(f"line {line}, column {col}",
+                                                  f"line {k + 1}, column 1"), k + 1, 1))
 
 
 def test_gcs_parse_error_has_location():
@@ -363,6 +459,55 @@ def test_dump_set_is_json_dumps_with_indent_2():
         assert set_to_json(s) == [_mg_json_reference(m) for m in s.members]
 
 
+def _reference_dump(ws, u):
+    """The graph JSON text with every kept weight formatted edge by edge."""
+    if not len(ws):
+        return "[]"
+    n = len(u.nodes)
+    lits = [json.dumps(x) for x in u.nodes]
+    node_list = '"nodes": [\n      ' + ",\n      ".join(lits) + "\n    ]" if lits else '"nodes": []'
+    heads = [f'      {{\n        "from": {a},\n        "to": {b},\n        "weight": '
+             for a in lits for b in lits]
+    keep = ws > u.floor
+    _, pair = np.nonzero(keep.reshape(len(ws), n * n))
+    edges = [heads[k] + ('"+inf"' if x == POS_INF else str(int(x))) + "\n      }"
+             for k, x in zip(pair.tolist(), ws[keep].tolist())]
+    members, start = [], 0
+    for stop in np.cumsum(keep.sum(axis=(1, 2))).tolist():
+        edge_list = '"edges": [\n' + ",\n".join(edges[start:stop]) + "\n    ]" if stop > start else '"edges": []'
+        members.append("  {\n    " + node_list + ",\n    " + edge_list + "\n  }")
+        start = stop
+    return "[\n" + ",\n".join(members) + "\n]"
+
+
+def test_dump_is_byte_identical_to_the_per_edge_formatter():
+    # stacks that need not satisfy the set invariant: +inf, repeated and
+    # negative weights, a member with no edge, and the empty set
+    rng = np.random.default_rng(80)
+    universes = [(("x", "y"), (0,)), (("x", "y", "z"), (-2, 0, 3)), ((), (-1, 4)), (("p",), ())]
+    for vars, consts in universes:
+        u = universe(vars, consts)
+        n = len(u.nodes)
+        for members in (0, 1, 2, 5):
+            w = rng.choice([NEG_INF, POS_INF, -7.0, -1.0, 0.0, 0.0, 2.0, 5.0, 5.0, 2.0**52],
+                           size=(members, n, n))
+            if members > 1:
+                w[1] = NEG_INF  # no edge
+            s = SymbolicSet(vars, consts, w)
+            text = dump_set(s)
+            assert text == _reference_dump(s.w, s.u)
+            assert set_to_json(s) == json.loads(text)
+            for m in s.members:
+                assert mg_to_json(m) == json.loads(_reference_dump(m.w[None], m.u))[0]
+    rng = random.Random(81)
+    for _ in range(40):
+        g = random_transitional_mg(rng, consts=(-2, 0, 3), positive=False)
+        for h in (g, g.closure()):
+            assert mg_to_json(h) == json.loads(_reference_dump(h.w[None], h.u))[0]
+    empty = make_set(("x",), (0,))
+    assert dump_set(empty) == _reference_dump(empty.w, empty.u) == "[]"
+
+
 def test_set_json_round_trip_and_determinism():
     rng = random.Random(76)
     for _ in range(24):
@@ -400,3 +545,13 @@ def test_qbf_round_trips():
             rand_expr(rng.randint(1, 3), names),
         )
         assert parse_qbf(serialize_qbf(q)) == q
+
+
+def test_parse_qbf_refuses_deep_nesting():
+    # the descent recurses once per parenthesis; the depth is reported as a
+    # parse error, as parse_formula does, not as a RecursionError
+    for matrix in ("(" * 2000 + "x" + ")" * 2000, "!(" * 1000 + "x" + ")" * 1000):
+        with pytest.raises(ParseError, match="the QBF nests too deeply to parse"):
+            parse_qbf("E x : " + matrix)
+    assert parse_qbf("E x : " + "(" * 50 + "x" + ")" * 50) == parse_qbf("E x : x")
+

@@ -134,3 +134,28 @@ def test_token_positions_are_read_only_by_the_lexer_and_the_stream():
             found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
                       if isinstance(node, ast.Attribute) and node.attr in ("line", "col")]
     assert found == []
+
+
+def _frontend_and_cli():
+    pkg = Path(gapmc.__file__).parent
+    return (ast.parse((pkg / "frontend.py").read_text()), ast.parse((pkg / "cli.py").read_text()))
+
+
+def test_the_frontend_compiles_one_lexeme_pattern():
+    # every text parser reads the tokens of one findall pass; the line-based
+    # LTS format keeps its own line pattern, and no parser compiles another
+    frontend, _ = _frontend_and_cli()
+    calls = [node for node in ast.walk(frontend) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and getattr(node.func.value, "id", None) == "re"]
+    assert [node.func.attr for node in calls] == ["compile", "compile"]
+    compiled = [top.targets[0].id for top in frontend.body
+                if isinstance(top, ast.Assign) and top.value in calls]
+    assert compiled == ["_LEXEME", "_LTS_LINE"]
+
+
+def test_cli_main_does_not_build_a_parser():
+    # the argparse parser is built once, at import
+    _, cli = _frontend_and_cli()
+    main = next(top for top in cli.body if getattr(top, "name", None) == "main")
+    assert "build_parser" not in _names(main)[0]
+    assert "argparse" not in _names(main)[0]
