@@ -113,10 +113,7 @@ def cmd_bisim(args, metrics: Metrics) -> int:
 
 
 def cmd_gen_qbf(args, metrics: Metrics) -> int:
-    try:  # the reduction recurses once per operator
-        g, v0, f = reductions.qbf_to_gcs(parse_qbf(args.qbf))
-    except RecursionError:
-        raise ParseError("the QBF nests too deeply to translate") from None
+    g, v0, f = reductions.qbf_to_gcs(parse_qbf(args.qbf))
     os.makedirs(args.out, exist_ok=True)
     paths = {
         "instance.gcs": serialize_gcs(g),

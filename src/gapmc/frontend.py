@@ -24,7 +24,7 @@ import json
 import re
 from functools import reduce
 from itertools import filterfalse
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -153,7 +153,7 @@ class _Stream:
         """The next token, which must be of one of the given kinds."""
         t = self.tokens[self.i]
         if _kind(t) not in kinds:
-            self.fail(f"expected {what}, found {t!r}")
+            self.fail(f"expected {what}, found {t or 'end of input'!r}")
         self.i += 1  # no kind asked for is "eof"
         return t
 
@@ -393,43 +393,51 @@ _parse_and = _left_fold(_parse_unary, "&", AndF)
 _parse_or = _left_fold(_parse_and, "|", OrF)
 
 
+def _render(root, parts) -> str:
+    """The text of a tree, from an explicit stack, so any depth and width
+    works.  parts[type(node)](node) gives the node's binding level and its
+    pieces: strings and (child, least level) slots.  A child that binds
+    below its slot's least level is put in parentheses."""
+    out, stack = [], [(root, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, least = item
+        if type(node) not in parts:
+            raise TypeError(f"cannot print {node!r}")
+        level, pieces = parts[type(node)](node)
+        if level < least:
+            pieces = ("(", *pieces, ")")
+        stack += reversed(pieces)
+    return "".join(out)
+
+
+def _head(op: str, f) -> str:
+    """A modality's text before its operand: op, the action list and the guard."""
+    actions = "" if getattr(f, "actions", None) is None else "[" + ",".join(f.actions) + "]"
+    guard = "{" + " & ".join(map(serialize_clause, f.guard)) + "}" if f.guard else ""
+    return f"{op}{actions}{guard} "
+
+
+# levels: 3 prints closed, 1 binds as & does, 0 as | does; the right operand of
+# & and | asks one level more, so the left-associative parse rebuilds the tree
+_FORMULA_PARTS = {
+    TrueF: lambda f: (3, ("true",)),
+    Atom: lambda f: (3, ("(" + serialize_clause(f.clause) + ")",)),
+    NotF: lambda f: (3, ("!", (f.f, 2))),
+    Eu: lambda f: (3, ("E(", (f.left, 0), " U ", (f.right, 0), ")")),
+    Diamond: lambda f: (1, (_head(f"<{f.action}>", f), (f.f, 2))),
+    Ef: lambda f: (1, (_head("EF", f), (f.f, 2))),
+    Eg: lambda f: (1, (_head("EG", f), (f.f, 2))),
+    AndF: lambda f: (1, ((f.left, 1), " & ", (f.right, 2))),
+    OrF: lambda f: (0, ((f.left, 0), " | ", (f.right, 1))),
+}
+
+
 def serialize_formula(f: Formula) -> str:
-    def guard_str(guard: Sequence[Clause]) -> str:
-        if not guard:
-            return ""
-        return "{" + " & ".join(serialize_clause(c) for c in guard) + "}"
-
-    def acts_str(actions: Optional[Sequence[str]]) -> str:
-        return "" if actions is None else "[" + ",".join(actions) + "]"
-
-    def go(f: Formula, prec: int) -> str:
-        # prec: 0 = or-context, 1 = and-context, 2 = unary argument
-        if isinstance(f, TrueF):
-            return "true"
-        if isinstance(f, Atom):
-            return "(" + serialize_clause(f.clause) + ")"
-        if isinstance(f, NotF):
-            return "!" + go(f.f, 2)
-        if isinstance(f, Diamond):
-            s = f"<{f.action}>{guard_str(f.guard)} " + go(f.f, 2)
-            return f"({s})" if prec >= 2 else s
-        if isinstance(f, (Ef, Eg)):
-            head = "EF" if isinstance(f, Ef) else "EG"
-            s = f"{head}{acts_str(f.actions)}{guard_str(f.guard)} " + go(f.f, 2)
-            return f"({s})" if prec >= 2 else s
-        if isinstance(f, Eu):
-            return f"E({go(f.left, 0)} U {go(f.right, 0)})"
-        if isinstance(f, AndF):
-            # the right operand is rendered one level tighter so that the
-            # left-associative parse rebuilds the exact tree shape
-            s = go(f.left, 1) + " & " + go(f.right, 2)
-            return f"({s})" if prec >= 2 else s
-        if isinstance(f, OrF):
-            s = go(f.left, 0) + " | " + go(f.right, 1)
-            return f"({s})" if prec >= 1 else s
-        raise TypeError(f"not a formula: {f!r}")
-
-    return go(f, 0)
+    return _render(f, _FORMULA_PARTS)
 
 
 # -- valuations and finite transition systems --------------------------------
@@ -440,6 +448,8 @@ def parse_valuation(text: str) -> Valuation:
     out: Valuation = {}
     ts = _Stream(text)
     while ts.peek():
+        if out:  # a comma also asks for an assignment after it
+            ts.expect(",")
         at = ts.i
         name = ts.take(("name",), "a variable")
         ts.expect("=")
@@ -447,8 +457,6 @@ def parse_valuation(text: str) -> Valuation:
         if name in out:
             ts.fail(f"{name!r} is assigned twice", at)
         out[name] = int(val)
-        if ts.peek():
-            ts.expect(",")
     return out
 
 
@@ -635,20 +643,14 @@ _parse_bool_and = _left_fold(_parse_bool_atom, "&", BAnd)
 _parse_bool_or = _left_fold(_parse_bool_and, "|", BOr)
 
 
-def serialize_qbf(q: Qbf) -> str:
-    def go(e: BoolExpr, prec: int) -> str:
-        if isinstance(e, BVar):
-            return e.name
-        if isinstance(e, BNot):
-            return "!" + go(e.f, 2)
-        if isinstance(e, BAnd):
-            # right operand one level tighter: the parser is left-associative
-            s = go(e.left, 1) + " & " + go(e.right, 2)
-            return f"({s})" if prec >= 2 else s
-        if isinstance(e, BOr):
-            s = go(e.left, 0) + " | " + go(e.right, 1)
-            return f"({s})" if prec >= 1 else s
-        raise TypeError(f"not a boolean expression: {e!r}")
+_QBF_PARTS = {
+    BVar: lambda e: (3, (e.name,)),
+    BNot: lambda e: (3, ("!", (e.f, 2))),
+    BAnd: lambda e: (1, ((e.left, 1), " & ", (e.right, 2))),
+    BOr: lambda e: (0, ((e.left, 0), " | ", (e.right, 1))),
+}
 
-    prefix = " ".join(f"{q_} {v}" for q_, v in q.prefix)
-    return f"{prefix} : {go(q.matrix, 0)}".strip()
+
+def serialize_qbf(q: Qbf) -> str:
+    prefix = " ".join(f"{quant} {v}" for quant, v in q.prefix)
+    return f"{prefix} : {_render(q.matrix, _QBF_PARTS)}".strip()

@@ -48,20 +48,17 @@ def clause_holds(c: Clause, v: Mapping[str, int]) -> bool:
 
 
 def validate(g: Gcs) -> list[str]:
-    """Invariant diagnostics; an empty list means the system is well-formed."""
+    """Invariant diagnostics, each once per rule; an empty list means the
+    system is well-formed."""
     diags = []
     symbols = set(g.vars) | {prime(x) for x in g.vars} | set(g.consts)
     for rule in g.rules:
-        if rule.label not in g.acts:
-            diags.append(f"rule {rule.name}: label {rule.label!r} is not a declared action")
+        found = [] if rule.label in g.acts else [f"label {rule.label!r} is not a declared action"]
         for c in rule.clauses:
             if not c.is_positive():
-                diags.append(
-                    f"rule {rule.name}: clause {c.left}-{c.right}>={c.k} is not positive"
-                )
-            for e in (c.left, c.right):
-                if e not in symbols:
-                    diags.append(f"rule {rule.name}: unknown symbol {e!r}")
+                found.append(f"clause {c.left}-{c.right}>={c.k} is not positive")
+            found += [f"unknown symbol {e!r}" for e in (c.left, c.right) if e not in symbols]
+        diags += [f"rule {rule.name}: {d}" for d in dict.fromkeys(found)]
     return diags
 
 

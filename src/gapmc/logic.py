@@ -148,9 +148,10 @@ def _subformulas(f: Formula) -> list[Formula]:
     return [getattr(f, k) for k in names]
 
 
-def _postorder(f: Formula, children=_subformulas) -> list[Formula]:
+def postorder(f, children=_subformulas) -> list:
     """The node objects reachable from f through ``children``, each once,
-    every node after its children; an explicit stack, so any depth works."""
+    every node after its children; an explicit stack, so any depth works.
+    Every tree walk below the parsers, formulas' and QBFs', is one of these."""
     seen, order, stack = set(), [], [f]
     while stack:
         node = stack.pop()
@@ -170,7 +171,7 @@ def nesting_depth(f: Formula) -> int:
     DAG is visited once: characteristic formulas share subformulas, and are
     far larger as trees."""
     depth: dict[int, int] = {}
-    for node in _postorder(f):
+    for node in postorder(f):
         below = max([depth[id(c)] for c in _subformulas(node)], default=0)
         depth[id(node)] = below + isinstance(node, (NotF, Diamond, Ef, Eg, Eu))
     return depth[id(f)]
@@ -179,7 +180,7 @@ def nesting_depth(f: Formula) -> int:
 def action_names(f: Formula) -> set[str]:
     """The actions that f names in its modalities and action filters."""
     names: set[str] = set()
-    for node in _postorder(f):
+    for node in postorder(f):
         if isinstance(node, Diamond):
             names.add(node.action)
         elif isinstance(node, Ef) and node.actions is not None:
@@ -216,7 +217,7 @@ class _Evaluation:
         """The interned copy of f; EG and E..U are refused before any work."""
         nodes: dict[tuple, Formula] = {}  # structural key -> interned node
         canon: dict[int, Formula] = {}  # id(node of f) -> interned node
-        for node in _postorder(f):
+        for node in postorder(f):
             t = type(node)
             if t is Eg or t is Eu:
                 raise UndecidableFormulaError(
@@ -246,7 +247,7 @@ class _Evaluation:
         its operands are not evaluated on its behalf."""
         memo = self.memo
         operands = lambda n: () if id(n) in self.conj or id(n) in memo else _subformulas(n)
-        for node in _postorder(f, operands):
+        for node in postorder(f, operands):
             if id(node) not in memo:
                 memo[id(node)] = self._step(node, lambda x: memo[id(x)])
         return memo[id(f)]
@@ -294,7 +295,7 @@ class _Evaluation:
         if isinstance(f, Atom):
             return sets.atom_set(g.vars, g.consts, [f.clause])
         if id(f) in self.conj:
-            return sets.atom_set(g.vars, g.consts, [a.clause for a in _postorder(f) if type(a) is Atom])
+            return sets.atom_set(g.vars, g.consts, [a.clause for a in postorder(f) if type(a) is Atom])
         if isinstance(f, TrueF):
             return sets.full_set(g.vars, g.consts)
         if isinstance(f, NotF):

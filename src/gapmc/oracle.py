@@ -190,18 +190,19 @@ def explicit_check(w: WindowGraph, v: Mapping[str, int], f: Formula) -> bool:
 
 
 def qbf_eval(q) -> bool:
-    """Brute-force 2^k evaluation of a prenex QBF."""
+    """Brute-force 2^k evaluation of a prenex QBF: the matrix under every
+    assignment in one fold, then the quantifiers, the innermost first."""
     if len(q.prefix) > 20:
         raise ValueError("QBF evaluator is capped at 20 variables")
-
-    def rec(i: int, env: dict) -> bool:
-        if i == len(q.prefix):
-            return q.matrix.eval(env)
-        quant, var = q.prefix[i]
-        branches = (rec(i + 1, {**env, var: b}) for b in (0, 1))
-        return any(branches) if quant == "E" else all(branches)
-
-    return rec(0, {})
+    names = [v for _, v in q.prefix]
+    # one row per assignment; the last variable varies fastest, so its two
+    # values sit side by side
+    rows = np.array(list(product((False, True), repeat=len(names))), dtype=bool)
+    values = q.matrix.eval(dict(zip(names, rows.T)))
+    for quant, _ in reversed(q.prefix):
+        pairs = values.reshape(-1, 2)
+        values = pairs.any(axis=1) if quant == "E" else pairs.all(axis=1)
+    return bool(values[0])
 
 
 # -- randomized differential harness ---------------------------------------

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 from .gcs import Gcs, TransitionRule, Valuation
-from .logic import AndF, Atom, Ef, Formula
+from .logic import AndF, Atom, Ef, Formula, postorder
 from .mg import Clause, prime
 
 log = logging.getLogger(__name__)
@@ -27,35 +26,38 @@ log = logging.getLogger(__name__)
 
 
 class BoolExpr:
+    """Base class; its walks go through logic.postorder, so any depth works."""
+
     __slots__ = ()
 
-    def eval(self, env: dict) -> bool:
-        raise NotImplementedError
+    def eval(self, env: dict):
+        """The value under env, folded up from the variables.  env maps each
+        variable to a bool, 0 or 1, or each to a numpy bool array of its
+        values under many assignments, and then the value is such an array."""
+        value: dict[int, object] = {}
+        for e in postorder(self, _operands):
+            t = type(e)
+            if t is BVar:
+                value[id(e)] = env[e.name]
+            elif t is BNot:
+                value[id(e)] = True ^ value[id(e.f)]  # not, elementwise on arrays
+            else:
+                left, right = value[id(e.left)], value[id(e.right)]
+                value[id(e)] = left & right if t is BAnd else left | right
+        return value[id(self)]
 
     def variables(self) -> set[str]:
-        raise NotImplementedError
+        return {e.name for e in postorder(self, _operands) if type(e) is BVar}
 
 
 @dataclass(frozen=True)
 class BVar(BoolExpr):
     name: str
 
-    def eval(self, env):
-        return bool(env[self.name])
-
-    def variables(self):
-        return {self.name}
-
 
 @dataclass(frozen=True)
 class BNot(BoolExpr):
     f: BoolExpr
-
-    def eval(self, env):
-        return not self.f.eval(env)
-
-    def variables(self):
-        return self.f.variables()
 
 
 @dataclass(frozen=True)
@@ -63,23 +65,17 @@ class BAnd(BoolExpr):
     left: BoolExpr
     right: BoolExpr
 
-    def eval(self, env):
-        return self.left.eval(env) and self.right.eval(env)
-
-    def variables(self):
-        return self.left.variables() | self.right.variables()
-
 
 @dataclass(frozen=True)
 class BOr(BoolExpr):
     left: BoolExpr
     right: BoolExpr
 
-    def eval(self, env):
-        return self.left.eval(env) or self.right.eval(env)
 
-    def variables(self):
-        return self.left.variables() | self.right.variables()
+def _operands(e: BoolExpr) -> tuple:
+    if type(e) not in (BVar, BNot, BAnd, BOr):
+        raise TypeError(f"not a boolean expression: {e!r}")
+    return () if type(e) is BVar else (e.f,) if type(e) is BNot else (e.left, e.right)
 
 
 @dataclass(frozen=True)
@@ -165,24 +161,27 @@ def qbf_to_boolean_program(q: Qbf) -> tuple[BooleanProgram, str, str]:
     )
 
 
-def _dnf(e: BoolExpr, negate: bool = False) -> list[dict]:
+def _dnf(e: BoolExpr) -> list[dict]:
     """Disjunctive normal form as a list of partial assignments (literal
-    conjunctions).  Contradictory conjunctions are dropped."""
-    if isinstance(e, BNot):
-        return _dnf(e.f, not negate)
-    if isinstance(e, BVar):
-        return [{e.name: 0 if negate else 1}]
-    if isinstance(e, (BAnd, BOr)):
-        conjunctive = isinstance(e, BAnd) != negate  # De Morgan under negation
-        left, right = _dnf(e.left, negate), _dnf(e.right, negate)
-        if not conjunctive:
-            return left + right
-        out = []
-        for a, b in product(left, right):
-            if all(a.get(x, v) == v for x, v in b.items()):
-                out.append({**a, **b})
-        return out
-    raise TypeError(f"not a boolean expression: {e!r}")
+    conjunctions), folded over the (node, negated) pairs below e: ! flips
+    the polarity, under which & and | swap (De Morgan).  Contradictory
+    conjunctions are dropped."""
+    below = lambda p: [(p[0].f, not p[1])] if type(p[0]) is BNot else [(c, p[1]) for c in _operands(p[0])]
+    # each pair is made anew, so postorder yields one per occurrence, in the
+    # order of the tree: the operands' forms are the top of the stack
+    forms: list[list[dict]] = []
+    for node, negate in postorder((e, False), below):
+        t = type(node)
+        if t is BVar:
+            forms.append([{node.name: 0 if negate else 1}])
+        elif t is not BNot:  # a negation's form is its operand's
+            right, left = forms.pop(), forms.pop()
+            if (t is BAnd) == negate:  # a disjunction
+                forms.append(left + right)
+            else:
+                forms.append([{**a, **b} for a in left for b in right
+                              if all(a.get(x, v) == v for x, v in b.items())])
+    return forms[0]
 
 
 def _guard_disjuncts(guard: Optional[BoolExpr]) -> list[dict]:

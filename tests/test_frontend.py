@@ -29,9 +29,12 @@ from gapmc.frontend import (
     set_to_json,
     tokenize,
 )
-from gapmc.logic import AndF, Atom, Diamond, Ef, Eg, Eu, NotF, OrF, TrueF
+from gapmc import logic
+from gapmc.logic import AndF, Atom, Diamond, Ef, Eg, Eu, NotF, OrF, TrueF, or_all
 from gapmc.mg import NEG_INF, POS_INF, Clause, from_constraint, is_const, universe
-from gapmc.oracle import random_window_closed_gcs
+from gapmc.oracle import qbf_eval, random_window_closed_gcs
+from gapmc.oracle import random_formula as oracle_random_formula
+from gapmc.reductions import BAnd, BNot, BOr, BVar, Qbf, qbf_to_gcs
 from gapmc.sets import SymbolicSet, full_set, make_set, same_set
 
 from conftest import CX_CLAUSES, random_plain_mg, random_transitional_mg
@@ -327,6 +330,79 @@ def test_formula_parse_error_location():
     assert e.value.line == 1
 
 
+def _reference_serialize_formula(f):
+    """The recursive printer that serialize_formula replaced, kept as its
+    reference: one call per node, so it reaches only a few hundred levels."""
+    def guard_str(guard):
+        if not guard:
+            return ""
+        return "{" + " & ".join(f"{c.left} - {c.right} >= {c.k}" for c in guard) + "}"
+
+    def acts_str(actions):
+        return "" if actions is None else "[" + ",".join(actions) + "]"
+
+    def go(f, prec):
+        # prec: 0 = or-context, 1 = and-context, 2 = unary argument
+        if isinstance(f, TrueF):
+            return "true"
+        if isinstance(f, Atom):
+            return f"({f.clause.left} - {f.clause.right} >= {f.clause.k})"
+        if isinstance(f, NotF):
+            return "!" + go(f.f, 2)
+        if isinstance(f, Diamond):
+            s = f"<{f.action}>{guard_str(f.guard)} " + go(f.f, 2)
+            return f"({s})" if prec >= 2 else s
+        if isinstance(f, (Ef, Eg)):
+            head = "EF" if isinstance(f, Ef) else "EG"
+            s = f"{head}{acts_str(f.actions)}{guard_str(f.guard)} " + go(f.f, 2)
+            return f"({s})" if prec >= 2 else s
+        if isinstance(f, Eu):
+            return f"E({go(f.left, 0)} U {go(f.right, 0)})"
+        if isinstance(f, AndF):
+            s = go(f.left, 1) + " & " + go(f.right, 2)
+            return f"({s})" if prec >= 2 else s
+        if isinstance(f, OrF):
+            s = go(f.left, 0) + " | " + go(f.right, 1)
+            return f"({s})" if prec >= 1 else s
+        raise TypeError(f"not a formula: {f!r}")
+
+    return go(f, 0)
+
+
+def any_formula(rng, depth):
+    """A random formula over every node type, EG and E..U included, each
+    anywhere in the tree."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([TrueF(), Atom(Clause("x", rng.choice(["y", 0]), rng.randint(-3, 3)))])
+    sub = lambda: any_formula(rng, depth - 1)
+    guard = (Clause("x'", 0, rng.randint(0, 2)),) if rng.random() < 0.3 else ()
+    actions = rng.choice([None, ("a",), ("a", "b")])
+    return rng.choice([
+        lambda: NotF(sub()), lambda: AndF(sub(), sub()), lambda: OrF(sub(), sub()),
+        lambda: Diamond(rng.choice("ab"), sub(), guard), lambda: Ef(sub(), guard, actions),
+        lambda: Eg(sub(), guard, actions), lambda: Eu(sub(), sub()),
+    ])()
+
+
+def test_formula_printer_matches_the_recursive_reference():
+    # every node type in every position, and oracle.random_formula's trees
+    rng = random.Random(74)
+    for _ in range(1500):
+        g = random_window_closed_gcs(rng)
+        for f in (any_formula(rng, rng.randint(1, 6)), oracle_random_formula(rng, g, depth=5)):
+            assert serialize_formula(f) == _reference_serialize_formula(f)
+
+
+def test_a_wide_formula_prints_and_parses_back():
+    # the printer keeps its own stack: a 3000-wide disjunction prints, and
+    # the left-associative parse reads it back (compared as text, since the
+    # dataclasses' == recurses)
+    f = or_all([Atom(Clause("x", 0, k)) for k in range(3000)])
+    text = serialize_formula(f)
+    assert text.count(" | ") == 2999
+    assert serialize_formula(parse_formula(text)) == text
+
+
 # -- valuations ----------------------------------------------------------------------------
 
 
@@ -336,6 +412,15 @@ def test_valuation_round_trips():
     for _ in range(24):
         v = {name: rng.randint(-9, 9) for name in rng.sample(["x", "y", "z", "w"], rng.randint(1, 4))}
         assert parse_valuation(serialize_valuation(v)) == v
+
+
+def test_valuation_refuses_a_dangling_comma():
+    # a comma asks for an assignment after it, at the end of input as well
+    for text, found, col in (("x=1,", "end of input", 5), ("x=1,,", ",", 5), ("x=1, ", "end of input", 6)):
+        with pytest.raises(ParseError, match=f"expected a variable, found {found!r}") as e:
+            parse_valuation(text)
+        assert (e.value.line, e.value.col) == (1, col)
+    assert parse_valuation("") == {}
 
 
 # -- LTS documents ----------------------------------------------------------------------------
@@ -521,30 +606,67 @@ def test_set_json_round_trip_and_determinism():
 # -- QBF text -------------------------------------------------------------------------------
 
 
+def rand_expr(rng, depth, names):
+    if depth == 0 or rng.random() < 0.4:
+        return BVar(rng.choice(names))
+    k = rng.choice(["n", "a", "o"])
+    if k == "n":
+        return BNot(rand_expr(rng, depth - 1, names))
+    cls = BAnd if k == "a" else BOr
+    return cls(rand_expr(rng, depth - 1, names), rand_expr(rng, depth - 1, names))
+
+
 def test_qbf_round_trips():
     rng = random.Random(77)
     texts = ["E x : x", "A x E y : (x & y) | (!x & !y)", "A x : x | !x"]
     for t in texts:
         q = parse_qbf(t)
         assert parse_qbf(serialize_qbf(q)) == q
-    from gapmc.reductions import BAnd, BNot, BOr, BVar, Qbf
-
-    def rand_expr(depth, names):
-        if depth == 0 or rng.random() < 0.4:
-            return BVar(rng.choice(names))
-        k = rng.choice(["n", "a", "o"])
-        if k == "n":
-            return BNot(rand_expr(depth - 1, names))
-        cls = BAnd if k == "a" else BOr
-        return cls(rand_expr(depth - 1, names), rand_expr(depth - 1, names))
-
     for _ in range(24):
         names = [f"x{i}" for i in range(1, rng.randint(2, 4))]
         q = Qbf(
             tuple((rng.choice("AE"), v) for v in names),
-            rand_expr(rng.randint(1, 3), names),
+            rand_expr(rng, rng.randint(1, 3), names),
         )
         assert parse_qbf(serialize_qbf(q)) == q
+
+
+def _reference_serialize_qbf(q):
+    """The recursive printer that serialize_qbf replaced, kept as its reference."""
+    def go(e, prec):
+        if isinstance(e, BVar):
+            return e.name
+        if isinstance(e, BNot):
+            return "!" + go(e.f, 2)
+        if isinstance(e, BAnd):
+            s = go(e.left, 1) + " & " + go(e.right, 2)
+            return f"({s})" if prec >= 2 else s
+        if isinstance(e, BOr):
+            s = go(e.left, 0) + " | " + go(e.right, 1)
+            return f"({s})" if prec >= 1 else s
+        raise TypeError(f"not a boolean expression: {e!r}")
+
+    prefix = " ".join(f"{q_} {v}" for q_, v in q.prefix)
+    return f"{prefix} : {go(q.matrix, 0)}".strip()
+
+
+def test_qbf_printer_matches_the_recursive_reference():
+    rng = random.Random(78)
+    for _ in range(1500):
+        names = [f"x{i}" for i in range(1, rng.randint(2, 5))]
+        q = Qbf(tuple((rng.choice("AE"), v) for v in names), rand_expr(rng, rng.randint(1, 6), names))
+        assert serialize_qbf(q) == _reference_serialize_qbf(q)
+
+
+@pytest.mark.parametrize("op", ["&", "|"], ids=["and-chain", "or-chain"])
+def test_a_wide_qbf_parses_translates_and_prints(op):
+    # nothing in a flat chain nests: it is parsed, reduced and printed at
+    # any length, and the reduction's verdict is the QBF's value
+    text = "E x : " + f" {op} ".join(["x"] * 3000)
+    q = parse_qbf(text)
+    assert serialize_qbf(q) == text
+    g, v0, f = qbf_to_gcs(q)
+    assert logic.check(g, v0, f) == qbf_eval(q) is True
 
 
 def test_parse_qbf_refuses_deep_nesting():

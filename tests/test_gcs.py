@@ -32,6 +32,17 @@ def test_validate_unknown_label():
     assert validate(g)
 
 
+def test_validate_reports_each_diagnostic_once_per_rule():
+    # x = 7 is two clauses, and both name the undeclared constant 7
+    clauses = (Clause("x", 7, 0), Clause(7, "x", 0))
+    g = Gcs(("x",), (), ("a",), (TransitionRule("r0", clauses, "a"), TransitionRule("r1", clauses, "b")))
+    assert validate(g) == [
+        "rule r0: unknown symbol 7",
+        "rule r1: label 'b' is not a declared action",
+        "rule r1: unknown symbol 7",
+    ]
+
+
 # -- step --------------------------------------------------------------------
 
 

@@ -74,6 +74,27 @@ def test_qbf_eval_basics():
     assert not qbf_eval(Qbf((("E", "x"), ("A", "y")), iff))
 
 
+def test_qbf_eval_and_eval_match_the_recursive_reference():
+    # qbf_eval folds the matrix over every assignment at once and then the
+    # quantifiers; the reference recurses over the prefix, branch by branch,
+    # and evaluates the matrix with eval_expr
+    def reference(q, i=0, env=None):
+        env = env or {}
+        if i == len(q.prefix):
+            return eval_expr(q.matrix, env)
+        quant, var = q.prefix[i]
+        branches = (reference(q, i + 1, {**env, var: b}) for b in (0, 1))
+        return any(branches) if quant == "E" else all(branches)
+
+    rng = random.Random(64)
+    for _ in range(300):
+        names = [f"x{i}" for i in range(1, rng.randint(2, 6))]
+        q = Qbf(tuple((rng.choice("AE"), v) for v in names), random_bool_expr(rng, names, rng.randint(1, 5)))
+        assert qbf_eval(q) == reference(q)
+        env = {v: rng.randint(0, 1) for v in names}
+        assert bool(q.matrix.eval(env)) == eval_expr(q.matrix, env)
+
+
 # -- program level ------------------------------------------------------------------
 
 

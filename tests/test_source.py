@@ -159,3 +159,44 @@ def test_cli_main_does_not_build_a_parser():
     main = next(top for top in cli.body if getattr(top, "name", None) == "main")
     assert "build_parser" not in _names(main)[0]
     assert "argparse" not in _names(main)[0]
+
+
+# functions that call themselves by name, each with the reason; every other
+# walk of a tree goes through logic.postorder or an explicit stack of its own
+RECURSIVE = (
+    ("frontend._parse_unary", "the descent of the formula parser, which refuses deep nesting"),
+    ("frontend._parse_bool_atom", "the descent of the QBF parser, which refuses deep nesting"),
+    ("oracle.explicit_denote", "the judge, kept textbook-plain and apart from the engine's walks"),
+    ("oracle.random_formula.gen", "draws a formula no deeper than its depth argument, in the "
+                                  "order that fixes every seeded corpus"),
+)
+
+
+def test_no_function_calls_itself_by_name():
+    # a function or nested function calls itself as name(...), a method as
+    # x.name(...), on any x but super(); each such call is one frame per
+    # level of its input, so a long chain would raise RecursionError
+    found = []
+    for path in sorted(Path(gapmc.__file__).parent.glob("*.py")):
+        todo = [(ast.parse(path.read_text(), str(path)), path.stem, False)]
+        while todo:
+            node, scope, in_class = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    todo.append((child, scope, in_class))
+                    continue
+                name = f"{scope}.{child.name}"
+                todo.append((child, name, isinstance(child, ast.ClassDef)))
+                if isinstance(child, ast.ClassDef):
+                    continue
+                for call in ast.walk(child):
+                    f = getattr(call, "func", None)
+                    if in_class:
+                        hit = (isinstance(f, ast.Attribute) and f.attr == child.name
+                               and getattr(getattr(f.value, "func", None), "id", None) != "super")
+                    else:
+                        hit = isinstance(f, ast.Name) and f.id == child.name
+                    if hit:
+                        found.append(name)
+                        break
+    assert sorted(found) == sorted(name for name, _ in RECURSIVE)
