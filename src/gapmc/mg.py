@@ -8,10 +8,15 @@ positive total weight) makes the graph unsatisfiable.
 
 Node universe and ordering are canonical: unprimed variables sorted by name,
 then their primed copies (for transitional graphs), then constants sorted by
-value; ``universe`` is the one place that knows it.  ``clause_stack`` builds
-weight matrices in that order, and the engine works on those arrays, not on
-graph objects.  All operations are pure; graphs are never mutated after
-construction.
+value; ``universe`` is the one place that knows it.  Graphs, sets and their
+file formats use this full layout.  The reachability engine (close_rules,
+compose_batch and the pool of sets.pre_star) runs in the engine layout,
+which keeps of the constants only the least, c0: in a closed graph every
+constant c has c0's edges shifted by c - c0, as the zero node of a
+difference-bound matrix stands for every constant.  ``Universe.enter`` and
+``Universe.leave`` convert closed satisfiable rows between the two; the
+layouts coincide below two constants.  All operations are pure; graphs are
+never mutated after construction.
 """
 
 from __future__ import annotations
@@ -76,15 +81,27 @@ def check_exact(values: Iterable, n: int) -> None:
         raise ValueError(f"|{big}| x ({n} nodes + 1) exceeds 2^53, the exact range of weights")
 
 
-# one record per universe, cached: universes in one run are few while graphs
-# number in the thousands; the bound keeps a long-lived process from growing
+# one record per universe and one set of tables per (number of variables,
+# transitional, constants), cached: universes in one run are few while
+# graphs number in the thousands, and the tables serve every universe whose
+# variables differ only in their names; the bound keeps a long-lived process
+# from growing
 _UNIVERSE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True, eq=False)
 class Universe:
     """The node layout of one (Var, Const) universe and the read-only tables
-    shared by every weight matrix over it; built only by universe()."""
+    shared by every weight matrix over it; built only by universe().
+
+    The engine layout keeps the nodes before the constants, then c0, the
+    least constant: ``size`` nodes, which are the first ``size`` of the full
+    layout, so that entering it is one slice.  A clause or entry against a
+    constant c reads against c0, shifted by ``shift``: x - c >= k is
+    x - c0 >= k + (c - c0).  A shifted offset is exact wherever the full
+    layout's weights are: k + (c - c0) is the weight of the two-edge path
+    x -> c -> c0 of the full layout, and every path sum of the engine layout
+    is the weight of a full-layout path the same way."""
 
     vars: tuple[str, ...]  # sorted, distinct
     consts: tuple[int, ...]  # sorted, distinct
@@ -97,7 +114,30 @@ class Universe:
     entries: np.ndarray  # flat indices of the pairs other than two constants
     primed: range  # positions of the primed variables, if transitional
     block: Optional[slice]  # the primed variables and constants, if transitional
-    plain: np.ndarray  # positions of the unprimed variables and constants
+    size: int  # nodes of the engine layout
+    shift: np.ndarray  # c - c0 for each full-layout node c, 0 for a variable
+    gather: np.ndarray  # flat engine index of each full pair (i, j)
+    lift: np.ndarray  # shift[i] - shift[j] for each full pair (i, j), flat
+    # the engine layout's seed: 0 on c0's diagonal, the weight of c0 -> d -> c0,
+    # with two or more constants; -inf elsewhere
+    eseed: np.ndarray
+    # flat engine indices and their shifts, whose shifted entries hold the
+    # least and greatest of each full-layout constraint entry's values
+    spread: np.ndarray
+    spread_shift: np.ndarray
+
+    def enter(self, ws: np.ndarray) -> np.ndarray:
+        """The engine-layout view of closed satisfiable full-layout rows."""
+        return ws[..., : self.size, : self.size]
+
+    def leave(self, ws: np.ndarray) -> np.ndarray:
+        """The full-layout (k, n, n) stack of the closed satisfiable rows ws
+        of the engine layout, which the engine keeps as entered: a constant's
+        entries are c0's shifted, a pair of constants c, d reads c - d from
+        c0's diagonal, 0 with two or more constants (eseed keeps it there)."""
+        out = ws.reshape(len(ws), self.size**2).take(self.gather, axis=1)
+        out += self.lift
+        return out.reshape(-1, len(self.nodes), len(self.nodes))
 
 
 def universe(vars: Iterable[str], consts: Iterable[int], transitional: bool = False) -> Universe:
@@ -108,9 +148,17 @@ def universe(vars: Iterable[str], consts: Iterable[int], transitional: bool = Fa
 
 @functools.lru_cache(maxsize=_UNIVERSE_CACHE_SIZE)
 def _universe(vars: tuple, consts: tuple, transitional: bool) -> Universe:
-    nv = len(vars)
     nodes = (*vars, *map(prime, vars if transitional else ()), *consts)
-    n, c0 = len(nodes), len(nodes) - len(consts)
+    index = MappingProxyType({x: i for i, x in enumerate(nodes)})
+    return Universe(vars, consts, nodes, index, *_tables(len(vars), transitional, consts))
+
+
+@functools.lru_cache(maxsize=_UNIVERSE_CACHE_SIZE)
+def _tables(nv: int, transitional: bool, consts: tuple) -> tuple:
+    """The fields of Universe after index, which depend on the number of
+    variables, not on their names."""
+    c0 = 2 * nv if transitional else nv  # position of the first constant
+    n, e = c0 + len(consts), c0 + min(len(consts), 1)
     check_exact(consts, n)
     floor = np.full((n, n), NEG_INF)
     floor[c0:, c0:] = np.subtract.outer(consts, consts)
@@ -120,41 +168,67 @@ def _universe(vars: tuple, consts: tuple, transitional: bool) -> Universe:
     const = np.arange(n) >= c0
     entries = np.flatnonzero(~(const[:, None] & const[None, :]))
     primed = range(nv, 2 * nv) if transitional else range(0)
-    plain = np.array([i for i in range(n) if i not in primed], dtype=np.intp)
-    for a in (seed, floor, entries, plain):
-        a.setflags(write=False)
-    index = MappingProxyType({x: i for i, x in enumerate(nodes)})
     block = slice(nv, None) if transitional else None
-    return Universe(vars, consts, nodes, index, seed, floor, entries, primed, block, plain)
+    # the engine layout: a constant's row and column are c0's, shifted
+    shift = np.zeros(n)
+    shift[c0:] = np.subtract(consts, consts[:1])
+    at = np.minimum(np.arange(n), e - 1)
+    gather = (at[:, None] * e + at).ravel()
+    lift = np.subtract.outer(shift, shift).ravel()
+    eseed = np.full((e, e), NEG_INF)
+    eseed[c0:, c0:] = 0 if len(consts) > 1 else NEG_INF
+    # x - c over every constant c spans x - c0 less 0 to the greatest shift,
+    # and c - x spans c0 - x plus as much: the spread reads the engine
+    # layout's constraint entries, then c0's again, shifted to the far end
+    k, ec = c0 if consts else 0, np.arange(e) >= c0
+    spread = np.concatenate((np.flatnonzero(~(ec[:, None] & ec)), np.arange(k) * e + c0,
+                             c0 * e + np.arange(k)))
+    spread_shift = np.repeat([0, -1, 1], [len(spread) - 2 * k, k, k]) * shift.max(initial=0)
+    tables = (seed, floor, entries, primed, block, e, shift, gather, lift,
+              eseed, spread, spread_shift)
+    for a in tables:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return tables
 
 
-def clause_stack(u: Universe, clause_sets: Sequence[Iterable[Clause]]) -> np.ndarray:
+def clause_stack(
+    u: Universe, clause_sets: Sequence[Iterable[Clause]], engine: bool = False
+) -> np.ndarray:
     """The (len(clause_sets), n, n) weight matrices of the clause sets over
-    the universe u: each entry the largest offset that a clause of its set
-    demands for that pair, -inf where none does."""
-    idx, n = u.index, len(u.nodes)
-    ws = np.full((len(clause_sets), n, n), NEG_INF)
-    flat, ks = [], []
-    for t, clauses in enumerate(clause_sets):
-        for c in clauses:
-            i, j = idx.get(c.left), idx.get(c.right)
-            if i is None or j is None:
-                e = c.left if i is None else c.right
-                raise ValueError(f"unknown variable or constant {e!r} in clause {c}")
-            flat.append((t * n + i) * n + j)
-            ks.append(c.k)
+    the universe u, in its engine layout if engine is set: each entry the
+    largest offset that a clause of its set demands for that pair, -inf
+    where none does.  Offsets are refused as check_exact does for the full
+    layout, whichever layout they go to; in the engine layout a clause
+    between two constants lands on c0's diagonal, above 0 iff it is false."""
+    clause_sets = [tuple(clauses) for clauses in clause_sets]
+    every = [c for clauses in clause_sets for c in clauses]
+    lefts, rights, ks = zip(*every) if every else ((), (), ())
+    i, j = list(map(u.index.get, lefts)), list(map(u.index.get, rights))
+    if None in i or None in j:
+        c = every[min((i + [None]).index(None), (j + [None]).index(None))]
+        e = c.left if u.index.get(c.left) is None else c.right
+        raise ValueError(f"unknown variable or constant {e!r} in clause {c}")
+    n = len(u.nodes)
     check_exact(ks, n)
-    if ks:
-        np.maximum.at(ws.reshape(-1), flat, np.array(ks, dtype=float))
+    t = np.repeat(np.arange(len(clause_sets)), list(map(len, clause_sets)))
+    i, j, k = np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(ks, dtype=float)
+    if engine:
+        # a constant's position past c0 is c0's; its offset shifts by c - c0
+        k += u.shift[j] - u.shift[i]
+        n = u.size
+        i, j = np.minimum(i, n - 1), np.minimum(j, n - 1)
+    ws = np.full((len(clause_sets), n, n), NEG_INF)
+    np.maximum.at(ws, (t, i, j), k)
     return ws
 
 
-def close_seeded(ws: np.ndarray, u: Universe) -> np.ndarray:
-    """Seed the constant edges of the universe u into a writable stack of
-    weight matrices over it, close the stack in place over every pivot and
-    return the mask of matrices with no positive cycle on the diagonal (a
-    +inf input entry is not caught)."""
-    np.maximum(ws, u.seed, out=ws)
+def close_seeded(ws: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Seed the constant edges seed (a universe's seed, or its eseed in the
+    engine layout) into a writable stack of weight matrices, close the stack
+    in place over every pivot and return the mask of matrices with no
+    positive cycle on the diagonal (a +inf input entry is not caught)."""
+    np.maximum(ws, seed, out=ws)
     with np.errstate(invalid="ignore"):
         _close_stack(ws, range(ws.shape[-1]))
     return (ws.diagonal(0, 1, 2) <= 0).all(axis=1)
@@ -171,10 +245,14 @@ def differences(nodes: Sequence[Node], valuation: Mapping[str, int]) -> np.ndarr
 
 def degree_norm(ws: np.ndarray, u: Universe) -> tuple[np.ndarray, np.ndarray]:
     """(degrees, norms) of a (k, n, n) stack of weight matrices over the
-    universe u, as float arrays of whole numbers, in one pass over their
-    constraint entries (see degree(), norm()); an edgeless matrix has
-    degree and norm 0."""
-    w = ws.reshape(-1, len(u.nodes) ** 2).take(u.entries, axis=1)
+    universe u, in either layout, as float arrays of whole numbers, in one
+    pass over their constraint entries (see degree(), norm()); an edgeless
+    matrix has degree and norm 0.  Closed satisfiable rows give the same
+    values in both layouts."""
+    full = ws.shape[-1] == len(u.nodes)  # or the layouts coincide
+    w = ws.reshape(len(ws), ws.shape[-1] ** 2).take(u.entries if full else u.spread, axis=1)
+    if not full:
+        w += u.spread_shift
     finite = np.isfinite(w)
     w[~finite] = 0
     lo, hi = w.min(axis=1, initial=0), w.max(axis=1, initial=0)
@@ -233,7 +311,7 @@ class MonotonicityGraph:
         if self.closed:
             return self
         w = np.array(self.w)
-        if not close_seeded(w[None], self.u)[0]:
+        if not close_seeded(w[None], self.u.seed)[0]:
             pos = np.diagonal(w) > 0
             to_cyc = w[:, pos] > NEG_INF
             from_cyc = w[pos, :] > NEG_INF
@@ -332,18 +410,18 @@ def compose(g: MonotonicityGraph, m: MonotonicityGraph) -> MonotonicityGraph:
     np.maximum(block, m.w, out=block)
     c = g.with_weights(w).closure()
     if np.isposinf(c.w).any():
-        n = len(g.u.plain)
+        n = len(g.vars) + len(g.consts)
         return MonotonicityGraph(g.vars, g.consts, False, np.full((n, n), POS_INF), closed=True)
     return c.restrict(g.vars)
 
 
 class RuleStack:
-    """Closed, satisfiable transitional graphs over one universe, stacked as
-    one (r, n, n) weight array for compose_batch, with the rule side of its
-    prefilter, its pivot nodes and its projection computed once.  ``probe``
-    holds the flat indices of the member entries the prefilter reads, each
-    variable's bounds against the first constant (None without constants);
-    pre_star screens its covering test on them too."""
+    """Closed, satisfiable transitional graphs over one universe in its
+    engine layout, stacked as one (r, e, e) weight array for compose_batch,
+    with the rule side of its prefilter, its pivot nodes and its projection
+    computed once.  ``probe`` holds the flat indices of the member entries
+    the prefilter reads, each variable's bounds against c0 (None without
+    constants); pre_star screens its covering test on them too."""
 
     __slots__ = ("u", "w", "probe", "_neg_bounds", "_pivots", "_proj")
 
@@ -351,17 +429,18 @@ class RuleStack:
         self.u = u = universe(vars, consts, True)
         self.w = w
         w.setflags(write=False)
-        n, keep, primed = len(u.nodes), u.plain, list(u.primed)
-        # flat indices of the unprimed-and-constant block
-        self._proj = (keep[:, None] * n + keep).ravel()
+        nv, e, primed = len(u.vars), u.size, list(u.primed)
+        keep = np.r_[0:nv, 2 * nv : e]  # the unprimed variables and c0
+        # flat indices of the unprimed-and-c0 block
+        self._proj = (keep[:, None] * e + keep).ravel()
         if u.consts:
-            # a two-edge cycle x' -> c -> x' through the first constant c,
-            # one edge from the rule and one from the member, is positive
-            # iff the member's B[c, x] exceeds -A[x', c] (and symmetrically
-            # B[x, c] against -A[c, x']); kept here as the flat indices of
-            # those member entries (a member lists its nv variables first),
-            # the probe, and the negated rule entries
-            c, nv, m = u.index[u.consts[0]], len(u.vars), len(keep)
+            # a two-edge cycle x' -> c0 -> x', one edge from the rule and one
+            # from the member, is positive iff the member's B[c0, x] exceeds
+            # -A[x', c0] (and symmetrically B[x, c0] against -A[c0, x']);
+            # kept here as the flat indices of those member entries (a member
+            # lists its nv variables first), the probe, and the negated rule
+            # entries
+            c, m = e - 1, len(keep)
             self._neg_bounds = -np.concatenate((w[:, primed, c], w[:, c, primed]), axis=1)
             self.probe = np.concatenate((np.arange(nv) + nv * m, np.arange(nv) * m + nv))
             self._pivots = primed + [c]
@@ -379,13 +458,14 @@ def close_rules(
     rules: Sequence[Iterable[Clause]],
     guard: Iterable[Clause] = (),
 ) -> np.ndarray:
-    """The closed weight matrices of the transitional graphs of each rule's
-    clauses intersected with the guard's, built as one stack and closed in
-    one batched pass; unsatisfiable rules are dropped."""
+    """The closed engine-layout weight matrices of the transitional graphs of
+    each rule's clauses intersected with the guard's, compiled and closed in
+    one batched pass; unsatisfiable rules, among them those with a false
+    clause between two constants, are dropped."""
     u = universe(vars, consts, True)
-    base, ws = clause_stack(u, [guard]), clause_stack(u, rules)
+    base, ws = clause_stack(u, [guard], engine=True), clause_stack(u, rules, engine=True)
     np.maximum(ws, base, out=ws)
-    return ws[close_seeded(ws, u)]
+    return ws[close_seeded(ws, u.eseed)]
 
 
 # weights closed together by one step of compose_batch: bounds its temporaries
@@ -393,20 +473,21 @@ _COMPOSE_CHUNK = 1 << 18
 
 
 def compose_batch(rules: RuleStack, mws: np.ndarray) -> list[Optional[np.ndarray]]:
-    """The weights of compose(g, m) for every member m of a frontier and
-    every graph g of the stack, member-major: entry i * len(rules) + j is
-    member i composed with rule j, None where unsatisfiable.  mws holds the
-    closed satisfiable plain members as a (k, m, m) stack, or one (m, m)
-    matrix as a frontier of one.
+    """The engine-layout weights of compose(g, m) for every member m of a
+    frontier and every graph g of the stack, member-major: entry
+    i * len(rules) + j is member i composed with rule j, None where
+    unsatisfiable.  mws holds the closed satisfiable plain members in the
+    engine layout as a (k, m, m) stack, or one (m, m) matrix as a frontier
+    of one.
 
-    Pairs where some primed variable's bounds against the first constant
-    conflict are rejected for the whole frontier at once, before any
-    closure.  The survivors are closed together, at most _COMPOSE_CHUNK
-    weights at a time, pivoting only over the primed nodes and one constant: both operands are closed, so a
-    path through an unprimed node collapses into one rule edge, and in a
-    closed graph the edges to and from any constant are exact shifts of
-    those of the first.  A positive cycle therefore shows on the diagonal
-    after these pivots, which is tested once."""
+    Pairs where some primed variable's bounds against c0 conflict are
+    rejected for the whole frontier at once, before any closure.  The
+    survivors are closed together, at most _COMPOSE_CHUNK weights at a time,
+    pivoting only over the primed nodes and c0: both operands are closed, so
+    a path through an unprimed node collapses into one rule edge, and c0 is
+    the one constant node of the layout, which every constant's edges are
+    shifts of.  A positive cycle therefore shows on the diagonal after these
+    pivots, which is tested once."""
     m = mws.shape[-1]
     mws = mws.reshape(-1, m, m)
     r = len(rules)

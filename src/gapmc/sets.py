@@ -62,7 +62,8 @@ class Metrics:
 
     def saw_batch(self, pairs: int, ws: np.ndarray, u: Universe) -> None:
         """Count ``pairs`` composition results, of which the satisfiable ones
-        are the rows of the weight stack ws over the universe u."""
+        are the rows of the weight stack ws over the universe u, in either
+        layout."""
         self.graphs_created += pairs
         if len(ws):
             degree, norm = degree_norm(ws, u)
@@ -118,7 +119,7 @@ def _normalise(u: Universe, ws, close: bool = True) -> SymbolicSet:
     if close:
         # a +inf entry is an unsatisfiable clause even where no cycle meets it
         ws = ws[~np.isposinf(ws).any(axis=(1, 2))]
-        ws = ws[close_seeded(ws, u)]
+        ws = ws[close_seeded(ws, u.seed)]
     rows = sorted({w.tobytes(): i for i, w in enumerate(ws)}.items())
     ws = ws[[i for _, i in rows]]
     # p ⊑ w (Sat(p) ⊇ Sat(w)) iff p <= w; keep rows covered only by themselves
@@ -231,10 +232,11 @@ def pre_action(
     transitional_graphs(gcs, guard, (action,))."""
     if rules is None:
         rules = transitional_graphs(gcs, guard, (action,))
-    results = compose_batch(rules, s.w)
-    ws = np.array([pw for pw in results if pw is not None]).reshape(-1, *s.w.shape[1:])
-    (metrics or Metrics()).saw_batch(len(results), ws, s.u)
-    return _normalise(s.u, ws, close=False)
+    u = s.u
+    results = compose_batch(rules, u.enter(s.w))
+    ws = np.array([pw for pw in results if pw is not None]).reshape(-1, u.size, u.size)
+    (metrics or Metrics()).saw_batch(len(results), ws, u)
+    return _normalise(u, u.leave(ws), close=False)
 
 
 def transitional_graphs(
@@ -294,7 +296,9 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
     """The explored pool of pre_star, or True as soon as a pool graph is
     satisfied by the valuation ``stop_at``.  Refuses a non-positive guard
     clause, and a non-positive clause in a rule the query may take: with
-    one, pre* need not be finite under covering."""
+    one, pre* need not be finite under covering.  The pool is explored,
+    screened and tested against stop_at in the engine layout, and leaves
+    it once, at the end."""
     for c in guard:
         if not c.is_positive():
             raise GuardError(f"reachability guards must be positive, got {c}")
@@ -304,17 +308,20 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
     metrics.saw_system(gcs)
     if rules is None:
         rules = transitional_graphs(gcs, guard, actions)
+    u = s.u
     if stop_at is not None and not s.is_empty():
-        diff = differences(s.u.nodes, stop_at)
-        if bool((diff >= s.w).all(axis=(1, 2)).any()):
+        # the pairs of constants hold at any valuation, those of c0 stand
+        # for every constant's; refused as over the full layout
+        diff = u.enter(differences(u.nodes, stop_at))
+        if bool((diff >= u.enter(s.w)).all(axis=(1, 2)).any()):
             return True
     # the pool is an amortized-growth stack, for a vectorized covering test;
     # its rows from index head on are the worklist, explored one BFS layer
     # [head, n_pool) per compose_batch call, whose satisfiable results are
     # written after the pool and screened there before the kept ones stay
     n_pool, head = len(s.w), 0
-    pool = np.empty((max(16, 2 * n_pool),) + s.w.shape[1:])
-    pool[:n_pool] = s.w
+    pool = np.empty((max(16, 2 * n_pool), u.size, u.size))
+    pool[:n_pool] = u.enter(s.w)
     while head < n_pool and len(rules):
         results = compose_batch(rules, pool[head:n_pool])
         head = n_pool
@@ -322,7 +329,7 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
         if n_pool + len(sat) > len(pool):
             grow = np.empty((max(n_pool, len(sat)),) + pool.shape[1:])
             pool = np.concatenate([pool[:n_pool], grow])
-        pool[n_pool : n_pool + len(sat)] = np.reshape([results[t] for t in sat], (-1, *s.w.shape[1:]))
+        pool[n_pool : n_pool + len(sat)] = np.reshape([results[t] for t in sat], (-1, *pool.shape[1:]))
         # the results no earlier row covers: by transitivity of covering,
         # those that adding them one at a time would keep
         fresh = (~_covered(pool[: n_pool + len(sat)], n_pool, rules.probe)).nonzero()[0]
@@ -336,7 +343,7 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
         rows, pairs = len(sat), len(results)
         if cap < len(fresh):
             rows, pairs = fresh[cap] + 1, sat[fresh[cap]] + 1
-        metrics.saw_batch(pairs, pool[n_pool : n_pool + rows], s.u)
+        metrics.saw_batch(pairs, pool[n_pool : n_pool + rows], u)
         added = cap + (cap < stop)
         pool[n_pool : n_pool + added] = pool[n_pool + fresh[:added]]
         n_pool += added
@@ -346,7 +353,7 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
             raise PoolLimitExceeded(f"reachability pool exceeded the cap of {max_pool} graphs")
         if stop < len(fresh):
             return True
-    return pool[:n_pool]
+    return u.leave(pool[:n_pool])
 
 
 # elements in the largest temporary of one step of the covering test
@@ -358,6 +365,8 @@ def _covered(rows: np.ndarray, start: int, probe: Optional[np.ndarray]) -> np.nd
     covers (p ⊑ w iff p <= w entrywise).  Pairs are screened on the flat
     entries probe (all entries if None) and compared in full only where the
     screen passes, in chunks of at most _COVER_CHUNK elements."""
+    if start == len(rows):
+        return np.zeros(0, dtype=bool)
     size = rows.shape[-1] ** 2
     flat = rows.reshape(-1, size)
     keys = flat if probe is None else flat.take(probe, axis=1)

@@ -99,6 +99,39 @@ def test_integers_beyond_the_exact_range_exit_2(tmp_path, capsys):
     assert main(["check", str(p), "x=0", f"0 - x >= {-ok - 1}"]) == 2
 
 
+def test_the_exact_range_is_that_of_every_constant(tmp_path, capsys):
+    # the engine keeps one constant node of two, but the exact range stays
+    # the full layout's: x, x', 0, 5 are 4 nodes of a rule, x, 0, 5 are 3
+    # of a set or a valuation
+    rule, plain = 2**53 // 5, 2**53 // 4
+    spec = "gcs {{\n  vars: x;\n  consts: 0, 5;\n}}\nrule A [a]: x > x' & x' - 5 >= {};\n"
+    p = tmp_path / "big.gcs"
+    p.write_text(spec.format(rule + 1))
+    assert main(["check", str(p), "x=3", "EF(x - 0 >= 1)"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: |{rule + 1}| x (4 nodes + 1) exceeds 2^53, the exact range of weights\n"
+    )
+    p.write_text(spec.format(rule))
+    assert main(["check", str(p), "x=3", "EF(x - 0 >= 1)"]) == 0
+    p.write_text(spec.format(0))
+    assert main(["check", str(p), f"x={plain + 1}", "EF(x - 5 >= 0)"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: |{plain + 1}| x (3 nodes + 1) exceeds 2^53, the exact range of weights\n"
+    )
+    assert main(["check", str(p), f"x={plain}", f"EF(x - 5 >= {plain})"]) == 1
+    assert main(["check", str(p), f"x={plain}", f"EF(x - 5 >= {plain - 5})"]) == 0
+    # a constant as large, which only a shift of the engine layout holds
+    spec = "gcs {{\n  vars: x;\n  consts: 0, {};\n}}\nrule A [a]: x > x' & x' >= 0;\n"
+    p.write_text(spec.format(rule + 1))
+    capsys.readouterr()
+    assert main(["check", str(p), "x=3", "EF(0 - x >= 0)"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: |{rule + 1}| x (4 nodes + 1) exceeds 2^53, the exact range of weights\n"
+    )
+    p.write_text(spec.format(rule))
+    assert main(["check", str(p), "x=3", "EF(0 - x >= 0)"]) == 0
+
+
 def test_denote_declared_unused_action(tmp_path, capsys):
     p = tmp_path / "acts.gcs"
     p.write_text("gcs {\n  vars: x;\n  consts: 0;\n  acts: a, b;\n}\nrule B [b]: x > x';\n")

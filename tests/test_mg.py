@@ -16,6 +16,7 @@ from gapmc.mg import (
     compose_batch,
     covers,
     from_constraint,
+    universe,
 )
 
 from conftest import (
@@ -320,8 +321,10 @@ def _closed_sat(rng, make):
     ids=["no-consts", "one-const", "several-consts"],
 )
 def test_compose_batch_matches_compose(vars, consts):
-    # compose runs the full closure over every node and stays the reference
+    # compose runs the full closure over every node and stays the reference;
+    # compose_batch runs in the engine layout, entered and left here
     rng = random.Random(40)
+    pu, tu = universe(vars, consts), universe(vars, consts, True)
     # an unsatisfiable combination composes to the closed all-+inf graph
     nodes = len(vars) + len(consts)
     unsat = MonotonicityGraph(vars, consts, False, np.full((nodes, nodes), POS_INF), closed=True)
@@ -337,11 +340,11 @@ def test_compose_batch_matches_compose(vars, consts):
             )
             for _ in range(rng.randint(1, 6))
         ]
-        stack = RuleStack(vars, consts, np.stack([g.w for g in rules]))
+        stack = RuleStack(vars, consts, tu.enter(np.stack([g.w for g in rules])).copy())
         singles, members = [], []
         for _ in range(10):
             m = _closed_sat(rng, lambda r: random_plain_mg(r, vars, consts, max_clauses=5))
-            got = compose_batch(stack, m.w)
+            got = compose_batch(stack, pu.enter(m.w))
             assert len(got) == len(rules)
             for g, p in zip(rules, got):
                 ref = compose(g, m)
@@ -350,20 +353,20 @@ def test_compose_batch_matches_compose(vars, consts):
                     assert p is None
                     results["unsat"] += 1
                 else:
-                    assert p is not None and p.tobytes() == ref.w.tobytes()
+                    assert p is not None and pu.leave(p[None]).tobytes() == ref.w.tobytes()
                     results["sat"] += 1
             singles += got
             members.append(m.w)
         # a (k, m, m) frontier gives the single-member results, member-major
         k = i % (len(members) + 1)
-        frontier = compose_batch(stack, np.array(members[:k]).reshape(k, *m.w.shape))
+        frontier = compose_batch(stack, pu.enter(np.array(members[:k]).reshape(k, *m.w.shape)))
         assert len(frontier) == k * len(rules)
         for p, q in zip(frontier, singles):
             assert (p is None) == (q is None)
             assert p is None or p.tobytes() == q.tobytes()
         results["frontiers"] += k > 1
     assert results["sat"] >= 100 and results["unsat"] >= 100
-    assert compose_batch(stack, np.empty((0,) + members[0].shape)) == []
+    assert compose_batch(stack, pu.enter(np.empty((0,) + members[0].shape))) == []
     assert results["frontiers"] >= 20
 
 
@@ -375,11 +378,12 @@ def test_compose_batch_in_small_chunks(monkeypatch):
         _closed_sat(rng, lambda r: random_transitional_mg(r, vars, consts, max_clauses=6))
         for _ in range(5)
     ]
-    stack = RuleStack(vars, consts, np.stack([g.w for g in rules]))
-    members = np.stack([
+    tu, pu = universe(vars, consts, True), universe(vars, consts)
+    stack = RuleStack(vars, consts, tu.enter(np.stack([g.w for g in rules])).copy())
+    members = pu.enter(np.stack([
         _closed_sat(rng, lambda r: random_plain_mg(r, vars, consts, max_clauses=4)).w
         for _ in range(30)
-    ])
+    ]))
     whole = compose_batch(stack, members)
     n = stack.w.shape[-1]
     monkeypatch.setattr("gapmc.mg._COMPOSE_CHUNK", 3 * n * n)
@@ -413,10 +417,104 @@ def test_close_rules_matches_per_rule_closure():
             )
             if c.is_satisfiable()
         ]
-        ws = close_rules(vars, consts, rules, guard)
+        ws = universe(vars, consts, True).leave(close_rules(vars, consts, rules, guard))
         assert [w.tobytes() for w in ws] == [g.w.tobytes() for g in expect]
         kept += len(expect)
     assert kept >= 50
+
+
+# -- the engine layout -----------------------------------------------------------------
+
+LAYOUTS = [
+    (("x", "y", "z"), ()),
+    (("x", "y"), (0,)),
+    (("x", "y"), (0, 4)),
+    (("x", "y", "z"), (-2, 0, 1, 3)),
+]
+LAYOUT_IDS = ["no-consts", "one-const", "two-consts", "several-consts"]
+
+
+@pytest.mark.parametrize("vars, consts", LAYOUTS, ids=LAYOUT_IDS)
+def test_entering_and_leaving_the_engine_layout_is_the_identity(vars, consts):
+    # closed satisfiable rows, plain and transitional, come back byte for
+    # byte; below two constants the engine layout is the full one
+    rng = random.Random(44)
+    for transitional, make in ((False, random_plain_mg), (True, random_transitional_mg)):
+        u = universe(vars, consts, transitional)
+        assert (u.size == len(u.nodes)) == (len(consts) < 2)
+        ws = np.stack([
+            _closed_sat(rng, lambda r: make(r, vars, consts, max_clauses=6)).w for _ in range(40)
+        ])
+        assert u.enter(ws).shape == (40, u.size, u.size)
+        assert u.leave(u.enter(ws)).tobytes() == ws.tobytes()
+        assert u.leave(u.enter(ws[:0])).shape == (0, len(u.nodes), len(u.nodes))
+
+
+def _pinned_rule(rng, vars, consts, seen):
+    """A transitional clause list that pins some primed variables (a frame
+    x' = x, an assignment x' = c or a copy x' = y + d) and leaves others
+    free, with a clause against every constant and, at times, a true or a
+    false clause between two constants."""
+    clauses = []
+    for x in vars:
+        kind = rng.choice(("frame", "assignment", "copy", "free") if consts else ("frame", "copy", "free"))
+        seen[kind] += 1
+        if kind == "free":
+            continue
+        y, d = ((x, 0) if kind == "frame" else (rng.choice(consts), 0) if kind == "assignment"
+                else (rng.choice(vars), rng.randint(-2, 2)))
+        clauses += [Clause(x + "'", y, d), Clause(y, x + "'", -d)]
+    terms = list(vars) + [x + "'" for x in vars]
+    for c in consts:
+        a, k = rng.choice(terms), rng.randint(-2, 3)
+        clauses.append(Clause(a, c, k) if rng.random() < 0.5 else Clause(c, a, k))
+    return clauses + _constant_clause(rng, consts, seen)
+
+
+def _constant_clause(rng, consts, seen):
+    if not consts or rng.random() < 0.5:
+        return []
+    c, d = rng.choice(consts), rng.choice(consts)
+    true = rng.random() < 0.6
+    seen["true c - d" if true else "false c - d"] += 1
+    return [Clause(c, d, c - d - rng.randint(0, 2) if true else c - d + rng.randint(1, 2))]
+
+
+@pytest.mark.parametrize("vars, consts", LAYOUTS, ids=LAYOUT_IDS)
+def test_compose_batch_matches_compose_on_pinned_rules(vars, consts):
+    # rules compiled straight into the engine layout by close_rules, with
+    # guards; left again, compose_batch's results are compose's to the byte
+    rng = random.Random(45)
+    pu = universe(vars, consts)
+    seen = dict.fromkeys(("frame", "copy", "free", "sat", "unsat", "dropped"), 0)
+    if consts:
+        seen.update(dict.fromkeys(("assignment", "true c - d", "false c - d"), 0))
+    for _ in range(60):
+        rules = [_pinned_rule(rng, vars, consts, seen) for _ in range(rng.randint(1, 5))]
+        terms = list(vars) + [x + "'" for x in vars] + list(consts)
+        guard = [Clause(*rng.sample(terms, 2), rng.randint(0, 2)) for _ in range(rng.randint(0, 2))]
+        guard += _constant_clause(rng, consts, seen)
+        graphs = [from_constraint(r + guard, vars, consts, transitional=True).closure() for r in rules]
+        kept = [g for g in graphs if g.is_satisfiable()]
+        seen["dropped"] += len(graphs) - len(kept)
+        ws = close_rules(vars, consts, rules, guard)
+        assert [w.tobytes() for w in universe(vars, consts, True).leave(ws)] == [
+            g.w.tobytes() for g in kept
+        ]
+        if not kept:
+            continue
+        stack = RuleStack(vars, consts, ws)
+        for _ in range(5):
+            m = _closed_sat(rng, lambda r: random_plain_mg(r, vars, consts, max_clauses=5))
+            for g, p in zip(kept, compose_batch(stack, pu.enter(m.w))):
+                ref = compose(g, m)
+                if ref.is_satisfiable():
+                    assert p is not None and pu.leave(p[None]).tobytes() == ref.w.tobytes()
+                    seen["sat"] += 1
+                else:
+                    assert p is None
+                    seen["unsat"] += 1
+    assert all(n >= 10 for n in seen.values()), seen
 
 
 def test_close_rules_rejects_unknown_symbols():

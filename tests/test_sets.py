@@ -20,6 +20,7 @@ from gapmc.mg import (
     differences,
     from_constraint,
     is_const,
+    universe,
 )
 from gapmc.reductions import BAnd, BNot, BOr, BVar, Qbf, qbf_to_gcs
 from gapmc.sets import (
@@ -523,10 +524,11 @@ def _one_at_a_time_pool(gcs, s, guard, actions, metrics, max_pool, stop_at, seen
         if head == layer_end:
             layer_end = len(pool)
         head += 1
-        for pw in compose_batch(rules, pool[head - 1]):
+        for pw in compose_batch(rules, s.u.enter(pool[head - 1])):
             metrics.graphs_created += 1
             if pw is None:
                 continue
+            pw = s.u.leave(pw[None])[0]
             degree, norm = degree_norm(pw[None], s.u)
             metrics.max_norm = max(metrics.max_norm, int(norm[0]))
             metrics.degree_bound = max(metrics.degree_bound, int(degree[0]))
@@ -604,6 +606,53 @@ def test_pre_star_pool_matches_one_at_a_time(cover_chunk, monkeypatch):
     assert all(n >= 10 for n in seen.values()), seen
 
 
+@pytest.mark.parametrize("consts", [(), (0,), (0, 4), (-2, 0, 1, 3)])
+def test_engine_degree_and_norm_match_the_expanded_stack(consts):
+    # degree and norm from c0's entries and the least and greatest shift
+    # equal degree_norm of the full-layout rows, and so do the Metrics
+    rng = random.Random(47)
+    for _ in range(60):
+        vars = ("x", "y", "z")[: rng.randint(2 - min(len(consts), 1), 3)]
+        u = universe(vars, consts)
+        graphs = [random_plain_mg(rng, vars, consts, 5, -4, 6) for _ in range(rng.randint(1, 6))]
+        ws = np.stack([g.closure().w for g in graphs])
+        ws = ws[~np.isposinf(ws).any(axis=(1, 2))]
+        assert u.leave(u.enter(ws)).tobytes() == ws.tobytes()
+        engine = [a.tolist() for a in degree_norm(u.enter(ws), u)]
+        assert engine == [a.tolist() for a in degree_norm(ws, u)]
+        full, shifted = Metrics(), Metrics()
+        full.saw_batch(len(graphs), ws, u)
+        shifted.saw_batch(len(graphs), u.enter(ws), u)
+        assert shifted == full
+    assert degree_norm(u.enter(ws[:0]), u)[0].shape == (0,)
+
+
+def test_pre_star_in_the_engine_layout_matches_the_per_rule_reference():
+    # a system with several constants, an assignment, a copy, a true and a
+    # false clause between two constants, explored in the engine layout,
+    # against compose() of one full-layout rule graph at a time
+    rng = random.Random(48)
+    vars, consts = ("x", "y"), (0, 2, 5)
+    rules = (
+        TransitionRule("set", (Clause("x'", 5, 0), Clause(5, "x'", 0), Clause("y'", "y", 0),
+                               Clause("y", "y'", 0)), "a"),
+        TransitionRule("copy", (Clause("y'", "x", 0), Clause("x", "y'", 0), Clause("x'", "x", 0),
+                                Clause("x", "x'", 0), Clause(5, 2, 3)), "a"),
+        TransitionRule("down", (Clause("x", "x'", 1), Clause("x'", 0, 0), Clause("y'", 2, 0),
+                                Clause(2, "y'", 0)), "b"),
+        TransitionRule("never", (Clause("x'", "x", 0), Clause(2, 5, 0)), "b"),
+    )
+    g = Gcs(vars, consts, ("a", "b"), rules)
+    graphs = [from_constraint(r.clauses, vars, consts, transitional=True) for r in rules]
+    for _ in range(20):
+        s = make_set(vars, consts, [random_plain_mg(rng, vars, consts, 3, 0, 6) for _ in range(2)])
+        got, expect = pre_star(g, s), _reference_pre_star(g, s)
+        assert got.w.tobytes() == expect.w.tobytes()
+        for action in ("a", "b"):
+            step = [pre_constraint(h, s) for h, r in zip(graphs, rules) if r.label == action]
+            assert pre_action(g, action, s).w.tobytes() == union(*step).w.tobytes()
+
+
 @pytest.mark.parametrize("cover_chunk", [None, 7], ids=["one-chunk", "small-chunks"])
 def test_covered_matches_brute_force(cover_chunk, monkeypatch):
     # the mask of rows[start:] covered by an earlier row, against the
@@ -657,7 +706,8 @@ def test_pre_star_composes_once_per_layer(countdown, monkeypatch):
     rules = transitional_graphs(countdown)
     pool, head = list(target.w), 0
     while head < len(pool):
-        for pw in compose_batch(rules, pool[head]):
+        for pw in compose_batch(rules, target.u.enter(pool[head])):
+            pw = None if pw is None else target.u.leave(pw[None])[0]
             if pw is not None and not any((p <= pw).all() for p in pool):
                 depth[len(pool)] = depth[head] + 1
                 pool.append(pw)
