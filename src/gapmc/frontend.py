@@ -96,13 +96,13 @@ def _kind(text: str) -> str:
 def tokenize(text: str) -> list[Token]:
     """Every token with its kind, line and column, then an "eof" token."""
     ts = _Stream(text)
-    return [Token(_kind(t), t, *at) for t, at in zip(ts.tokens, ts.positions())]
+    return [Token(ts.kind[t], t, *at) for t, at in zip(ts.tokens, ts.positions())]
 
 
 class _Stream:
     """The tokens of one text, lexed in one findall, as strings ending in ""
-    for the end of input.  Every positioned error is raised from here; lines
-    and columns are worked out only then."""
+    for the end of input, and the kind of each.  Every positioned error is
+    raised from here; lines and columns are worked out only then."""
 
     def __init__(self, text: str):
         self.lexemes = _LEXEME.findall(text)
@@ -113,6 +113,7 @@ class _Stream:
             line = text.count("\n", 0, pos) + 1
             raise ParseError(f"unexpected character {text[pos]!r}", line, pos - text.rfind("\n", 0, pos))
         self.tokens = [t for t in filterfalse(str.isspace, self.lexemes) if t[0] != "#"] + [""]
+        self.kind = {t: _kind(t) for t in set(self.tokens)}
         self.i = 0
 
     def positions(self) -> list[tuple[int, int]]:
@@ -152,7 +153,7 @@ class _Stream:
     def take(self, kinds: tuple[str, ...], what: str) -> str:
         """The next token, which must be of one of the given kinds."""
         t = self.tokens[self.i]
-        if _kind(t) not in kinds:
+        if self.kind[t] not in kinds:
             self.fail(f"expected {what}, found {t or 'end of input'!r}")
         self.i += 1  # no kind asked for is "eof"
         return t
@@ -171,7 +172,7 @@ class _Stream:
 
 def _parse_term(ts: _Stream) -> Node:
     t = ts.take(("num", "name"), "a variable or constant")
-    return int(t) if _kind(t) == "num" else t
+    return int(t) if ts.kind[t] == "num" else t
 
 
 def _parse_clause_group(ts: _Stream) -> list[Clause]:
@@ -226,13 +227,13 @@ def _token_list(ts: _Stream) -> list[int]:
     return out
 
 
-# header entry -> (does a token qualify, the value it gives, the noun for a bad
-# token, the noun for a repeated value)
+# header entry -> (does a token of a kind qualify, the value it gives, the noun
+# for a bad token, the noun for a repeated value)
 _HEADER = {
-    "vars": (lambda t: _kind(t) == "name" and not t.endswith("'"), str,
+    "vars": (lambda kind, t: kind == "name" and not t.endswith("'"), str,
              "variable name", "variable"),
-    "consts": (lambda t: _kind(t) == "num", int, "constant", "constant"),
-    "acts": (lambda t: _kind(t) in ("name", "num"), str, "action name", "action"),
+    "consts": (lambda kind, t: kind == "num", int, "constant", "constant"),
+    "acts": (lambda kind, t: kind in ("name", "num"), str, "action name", "action"),
 }
 
 
@@ -252,7 +253,7 @@ def parse_gcs(text: str) -> Gcs:
         good, value, bad, noun = _HEADER[key]
         tokens = [(j, ts.tokens[j]) for j in _token_list(ts)]
         for j, t in tokens:  # every token's kind first, then repeats
-            if not good(t):
+            if not good(ts.kind[t], t):
                 ts.fail(f"bad {bad} {t!r}", j)
         values: dict = {}  # in order; a repeated value is refused
         for j, t in tokens:
@@ -384,7 +385,7 @@ def _parse_primary(ts: _Stream) -> Formula:
         f = _parse_or(ts)
         ts.expect(")")
         return f
-    if _kind(t) in ("name", "num"):
+    if ts.kind[t] in ("name", "num"):
         return reduce(AndF, map(Atom, _parse_clause_group(ts)))
     ts.fail(f"expected a formula, found {t or 'end of input'!r}")
 
@@ -552,7 +553,7 @@ def mg_from_json(doc: dict) -> MonotonicityGraph:
 
 
 def set_to_json(s: SymbolicSet) -> list:
-    return json.loads(_dump(s.w, s.u))
+    return json.loads(dump_set(s))
 
 
 def set_from_json(
@@ -574,7 +575,7 @@ def set_from_json(
 
 def dump_set(s: SymbolicSet) -> str:
     """The stable text form of s: its members' graph JSON, indented by 2."""
-    return _dump(s.w, s.u)
+    return _dump(s.u.leave(s.w), s.u)
 
 
 def _dump(ws: np.ndarray, u: Universe) -> str:

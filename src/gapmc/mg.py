@@ -8,15 +8,14 @@ positive total weight) makes the graph unsatisfiable.
 
 Node universe and ordering are canonical: unprimed variables sorted by name,
 then their primed copies (for transitional graphs), then constants sorted by
-value; ``universe`` is the one place that knows it.  Graphs, sets and their
-file formats use this full layout.  The reachability engine (close_rules,
-compose_batch and the pool of sets.pre_star) runs in the engine layout,
-which keeps of the constants only the least, c0: in a closed graph every
-constant c has c0's edges shifted by c - c0, as the zero node of a
-difference-bound matrix stands for every constant.  ``Universe.enter`` and
-``Universe.leave`` convert closed satisfiable rows between the two; the
-layouts coincide below two constants.  All operations are pure; graphs are
-never mutated after construction.
+value; ``universe`` is the one place that knows it.  Graphs and their file
+formats use this full layout.  Symbolic sets and the reachability engine
+keep the engine layout, which keeps of the constants only the least, c0: in
+a closed graph every constant c has c0's edges shifted by c - c0, as the
+zero node of a difference-bound matrix stands for every constant.
+``Universe.enter`` and ``Universe.leave`` convert closed satisfiable rows
+between the two; the layouts coincide below two constants.  All operations
+are pure; graphs are never mutated after construction.
 """
 
 from __future__ import annotations
@@ -137,7 +136,7 @@ class Universe:
         c0's diagonal, 0 with two or more constants (eseed keeps it there)."""
         out = ws.reshape(len(ws), self.size**2).take(self.gather, axis=1)
         out += self.lift
-        return out.reshape(-1, len(self.nodes), len(self.nodes))
+        return out.reshape(len(ws), len(self.nodes), len(self.nodes))
 
 
 def universe(vars: Iterable[str], consts: Iterable[int], transitional: bool = False) -> Universe:
@@ -289,13 +288,7 @@ class MonotonicityGraph:
     def edges(self) -> list[tuple[Node, Node, float]]:
         """All stored edges with weight > -inf, in canonical node order."""
         ns = self.u.nodes
-        out = []
-        for i, x in enumerate(ns):
-            for j, y in enumerate(ns):
-                wv = self.w[i, j]
-                if wv > NEG_INF:
-                    out.append((x, y, float(wv)))
-        return out
+        return [(ns[i], ns[j], float(self.w[i, j])) for i, j in zip(*np.nonzero(self.w > NEG_INF))]
 
     # -- construction -----------------------------------------------------
 

@@ -1,10 +1,13 @@
 """Finite unions of monotonicity graphs as first-class sets of valuations.
 
-A SymbolicSet holds its members as one (m, n, n) weight stack over a fixed
-(Var, Const) universe.  Invariant: each row is closed and satisfiable, no row
+A SymbolicSet holds its members as one (m, e, e) weight stack in the engine
+layout of a fixed (Var, Const) universe (mg.Universe), which the engine reads
+and returns as it is.  Invariant: each row is closed and satisfiable, no row
 covers another (an antichain under ⊑), and the rows are sorted by their
-bytes; _normalise establishes it for every operation.  No rows denote the
-empty set; one row without constraints, all valuations.
+bytes; _normalise establishes it for every operation.  A full-layout row is
+the engine row with later shifts of its entries, so order, repeats and
+covering are the full layout's.  No rows denote the empty set; one row
+without constraints, all valuations.
 
 Backward reachability (pre_star, reaches) explores its pool breadth first,
 one layer at a time: the rows added by the previous layer are composed with
@@ -82,8 +85,8 @@ class Metrics:
 
 @dataclass(frozen=True)
 class SymbolicSet:
-    """The union of the rows of the read-only stack w, under the module's
-    invariant; equality and hashing compare the universe and w's bytes."""
+    """The union of the rows of the read-only engine-layout stack w, under the
+    module's invariant; equality and hashing compare the universe and w's bytes."""
 
     vars: tuple[str, ...]
     consts: tuple[int, ...]
@@ -92,16 +95,17 @@ class SymbolicSet:
     u: Universe = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "u", u := universe(self.vars, self.consts))
+        if self.w.shape[1:] != (u.size, u.size):
+            raise ValueError(f"a stack of shape {self.w.shape} for (m, {u.size}, {u.size}) engine rows")
         self.w.setflags(write=False)
         object.__setattr__(self, "key", self.w.tobytes())
-        object.__setattr__(self, "u", universe(self.vars, self.consts))
 
     @property
     def members(self) -> tuple[MonotonicityGraph, ...]:
-        """The rows as closed plain graphs, built anew for the API edge."""
-        return tuple(
-            MonotonicityGraph(self.vars, self.consts, False, w, closed=True) for w in self.w
-        )
+        """The rows as closed full-layout plain graphs, built anew for the API edge."""
+        ws = self.u.leave(self.w)
+        return tuple(MonotonicityGraph(self.vars, self.consts, False, w, closed=True) for w in ws)
 
     def is_empty(self) -> bool:
         return len(self.w) == 0
@@ -111,15 +115,12 @@ class SymbolicSet:
 
 
 def _normalise(u: Universe, ws, close: bool = True) -> SymbolicSet:
-    """The set of the (m, n, n) weight matrices ws over u: with close set they
-    are closed first and unsatisfiable rows dropped, otherwise they must be
-    closed and satisfiable already; then duplicate and covered rows go."""
-    n = len(u.nodes)
-    ws = np.asarray(ws, dtype=float).reshape(len(ws), n, n)
+    """The set of the (m, e, e) engine-layout weight stack ws over u: with
+    close set its rows are closed first and unsatisfiable ones dropped,
+    otherwise they must be closed and satisfiable already; then duplicate
+    and covered rows go."""
     if close:
-        # a +inf entry is an unsatisfiable clause even where no cycle meets it
-        ws = ws[~np.isposinf(ws).any(axis=(1, 2))]
-        ws = ws[close_seeded(ws, u.seed)]
+        ws = ws[close_seeded(ws, u.eseed)]
     rows = sorted({w.tobytes(): i for i, w in enumerate(ws)}.items())
     ws = ws[[i for _, i in rows]]
     # p ⊑ w (Sat(p) ⊇ Sat(w)) iff p <= w; keep rows covered only by themselves
@@ -132,12 +133,16 @@ def make_set(
     consts: Iterable[int],
     graphs: Iterable[MonotonicityGraph] = (),
 ) -> SymbolicSet:
-    """The set of the given plain graphs, closed and normalised."""
+    """The set of the given plain graphs, closed in the full layout, where
+    a +inf entry is an unsatisfiable clause even if no cycle meets it, and
+    entered once."""
     u = universe(vars, consts)
     graphs = list(graphs)
     if any(g.vars != u.vars or g.consts != u.consts or g.transitional for g in graphs):
         raise ValueError("member graph universe does not match the set's")
-    return _normalise(u, [g.w for g in graphs])
+    ws = np.array([g.w for g in graphs], dtype=float).reshape(len(graphs), *u.seed.shape)
+    ws = ws[~np.isposinf(ws).any(axis=(1, 2))]
+    return _normalise(u, u.enter(ws[close_seeded(ws, u.seed)]), close=False)
 
 
 def full_set(vars: Iterable[str], consts: Iterable[int]) -> SymbolicSet:
@@ -147,7 +152,7 @@ def full_set(vars: Iterable[str], consts: Iterable[int]) -> SymbolicSet:
 def atom_set(vars, consts, clauses: Iterable[Clause]) -> SymbolicSet:
     """The set of valuations satisfying a conjunction of gap clauses."""
     u = universe(vars, consts)
-    return _normalise(u, clause_stack(u, [clauses]))
+    return _normalise(u, clause_stack(u, [clauses], engine=True))
 
 
 def union(s: SymbolicSet, t: SymbolicSet) -> SymbolicSet:
@@ -164,17 +169,17 @@ def intersect_sets(s: SymbolicSet, t: SymbolicSet) -> SymbolicSet:
 
 def complement(s: SymbolicSet) -> SymbolicSet:
     """De Morgan over the members' constraints: an entry w[i, j] = k above
-    the floor (x_i - x_j >= k; a closed member's diagonal and constant pairs
-    lie on it) negates to the single edge w[j, i] = 1 - k; the conjunction of
+    the floor (x_i - x_j >= k; a closed member's diagonal lies on it)
+    negates to the single edge w[j, i] = 1 - k; the conjunction of
     per-member unions is distributed back into a union, one member at a
     time: every row so far meets every negated edge of the member, with one
     normalisation per member."""
     if s.is_empty():
         return full_set(s.vars, s.consts)
-    n = s.w.shape[1]
+    n, floor = s.w.shape[1], s.u.enter(s.u.floor)
     result = None
     for w in s.w:
-        i, j = np.nonzero(w > s.u.floor)
+        i, j = np.nonzero(w > floor)
         negs = np.full((len(i), n, n), NEG_INF)
         negs[np.arange(len(i)), j, i] = 1 - w[i, j]
         if result is not None:
@@ -200,7 +205,7 @@ def contains(s: SymbolicSet, valuation: Mapping[str, int]) -> bool:
     check_valuation(s.vars, valuation)
     if s.is_empty():
         return False
-    diff = differences(s.u.nodes, valuation)
+    diff = s.u.enter(differences(s.u.nodes, valuation))
     return bool((diff >= s.w).all(axis=(1, 2)).any())
 
 
@@ -232,11 +237,10 @@ def pre_action(
     transitional_graphs(gcs, guard, (action,))."""
     if rules is None:
         rules = transitional_graphs(gcs, guard, (action,))
-    u = s.u
-    results = compose_batch(rules, u.enter(s.w))
-    ws = np.array([pw for pw in results if pw is not None]).reshape(-1, u.size, u.size)
-    (metrics or Metrics()).saw_batch(len(results), ws, u)
-    return _normalise(u, u.leave(ws), close=False)
+    results = compose_batch(rules, s.w)
+    ws = np.array([pw for pw in results if pw is not None]).reshape(-1, s.u.size, s.u.size)
+    (metrics or Metrics()).saw_batch(len(results), ws, s.u)
+    return _normalise(s.u, ws, close=False)
 
 
 def transitional_graphs(
@@ -296,9 +300,8 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
     """The explored pool of pre_star, or True as soon as a pool graph is
     satisfied by the valuation ``stop_at``.  Refuses a non-positive guard
     clause, and a non-positive clause in a rule the query may take: with
-    one, pre* need not be finite under covering.  The pool is explored,
-    screened and tested against stop_at in the engine layout, and leaves
-    it once, at the end."""
+    one, pre* need not be finite under covering.  The pool is in the
+    engine layout, as s is."""
     for c in guard:
         if not c.is_positive():
             raise GuardError(f"reachability guards must be positive, got {c}")
@@ -313,7 +316,7 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
         # the pairs of constants hold at any valuation, those of c0 stand
         # for every constant's; refused as over the full layout
         diff = u.enter(differences(u.nodes, stop_at))
-        if bool((diff >= u.enter(s.w)).all(axis=(1, 2)).any()):
+        if bool((diff >= s.w).all(axis=(1, 2)).any()):
             return True
     # the pool is an amortized-growth stack, for a vectorized covering test;
     # its rows from index head on are the worklist, explored one BFS layer
@@ -321,7 +324,7 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
     # written after the pool and screened there before the kept ones stay
     n_pool, head = len(s.w), 0
     pool = np.empty((max(16, 2 * n_pool), u.size, u.size))
-    pool[:n_pool] = u.enter(s.w)
+    pool[:n_pool] = s.w
     while head < n_pool and len(rules):
         results = compose_batch(rules, pool[head:n_pool])
         head = n_pool
@@ -353,7 +356,7 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
             raise PoolLimitExceeded(f"reachability pool exceeded the cap of {max_pool} graphs")
         if stop < len(fresh):
             return True
-    return u.leave(pool[:n_pool])
+    return pool[:n_pool]
 
 
 # elements in the largest temporary of one step of the covering test

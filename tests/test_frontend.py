@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gapmc.frontend import (
     ParseError,
+    _dump,
     dump_set,
     mg_from_json,
     mg_to_json,
@@ -31,7 +32,15 @@ from gapmc.frontend import (
 )
 from gapmc import logic
 from gapmc.logic import AndF, Atom, Diamond, Ef, Eg, Eu, NotF, OrF, TrueF, or_all
-from gapmc.mg import NEG_INF, POS_INF, Clause, from_constraint, is_const, universe
+from gapmc.mg import (
+    NEG_INF,
+    POS_INF,
+    Clause,
+    MonotonicityGraph,
+    from_constraint,
+    is_const,
+    universe,
+)
 from gapmc.oracle import qbf_eval, random_window_closed_gcs
 from gapmc.oracle import random_formula as oracle_random_formula
 from gapmc.reductions import BAnd, BNot, BOr, BVar, Qbf, qbf_to_gcs
@@ -566,9 +575,10 @@ def _reference_dump(ws, u):
 
 
 def test_dump_is_byte_identical_to_the_per_edge_formatter():
-    # stacks that need not satisfy the set invariant: +inf, repeated and
-    # negative weights, a member with no edge, and the empty set
-    rng = np.random.default_rng(80)
+    # full-layout stacks that need not satisfy the set invariant, fed to
+    # _dump: +inf, repeated and negative weights, a member with no edge, and
+    # no member; then real sets, through dump_set
+    rng, draw = np.random.default_rng(80), random.Random(82)
     universes = [(("x", "y"), (0,)), (("x", "y", "z"), (-2, 0, 3)), ((), (-1, 4)), (("p",), ())]
     for vars, consts in universes:
         u = universe(vars, consts)
@@ -578,12 +588,19 @@ def test_dump_is_byte_identical_to_the_per_edge_formatter():
                            size=(members, n, n))
             if members > 1:
                 w[1] = NEG_INF  # no edge
-            s = SymbolicSet(vars, consts, w)
-            text = dump_set(s)
-            assert text == _reference_dump(s.w, s.u)
-            assert set_to_json(s) == json.loads(text)
-            for m in s.members:
+            text = _dump(w, u)
+            assert text == _reference_dump(w, u)
+            graphs = [MonotonicityGraph(vars, consts, False, m) for m in w]
+            assert [mg_to_json(m) for m in graphs] == json.loads(text)
+            for m in graphs:
                 assert mg_to_json(m) == json.loads(_reference_dump(m.w[None], m.u))[0]
+        real = [full_set(vars, consts), make_set(vars, consts)]
+        for _ in range(5 if n > 1 else 0):
+            real.append(make_set(vars, consts, [random_plain_mg(draw, vars, consts) for _ in range(3)]))
+        for s in real:
+            text = dump_set(s)
+            assert text == _reference_dump(u.leave(s.w), u)
+            assert set_to_json(s) == json.loads(text)
     rng = random.Random(81)
     for _ in range(40):
         g = random_transitional_mg(rng, consts=(-2, 0, 3), positive=False)

@@ -39,7 +39,7 @@ def _outcome(run) -> dict:
     except (ValueError, RuntimeError) as e:  # GuardError, PoolLimitExceeded, ...
         return {"verdict": f"{type(e).__name__}: {e}", "metrics": metrics.as_dict()}
     if isinstance(out, logic.Denotation):
-        w = out.set.w
+        w = out.set.u.leave(out.set.w)  # the full layout the recording was made in
         digest = hashlib.sha256(repr(w.shape).encode() + w.tobytes()).hexdigest()[:20]
         return {"verdict": len(w), "members": digest, "metrics": metrics.as_dict()}
     return {"verdict": out, "metrics": metrics.as_dict()}

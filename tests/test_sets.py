@@ -13,6 +13,8 @@ from gapmc.mg import (
     POS_INF,
     Clause,
     MonotonicityGraph,
+    clause_stack,
+    close_seeded,
     compose,
     compose_batch,
     covers,
@@ -27,6 +29,7 @@ from gapmc.sets import (
     GuardError,
     Metrics,
     PoolLimitExceeded,
+    SymbolicSet,
     atom_set,
     complement,
     contains,
@@ -72,6 +75,17 @@ def test_make_set_rejects_foreign_universe():
     g = from_constraint([], ("x",), (0,))
     with pytest.raises(ValueError):
         make_set(VARS, CONSTS, [g])
+
+
+def test_a_set_refuses_a_stack_outside_its_engine_layout():
+    # the full layout of two or more constants, a lone matrix or a stack of
+    # another universe is refused, not read as engine rows
+    consts = (0, 4)
+    s = make_set(VARS, consts, [from_constraint([Clause("x", 4, 1)], VARS, consts)])
+    assert s.w.shape == (1, 3, 3) and SymbolicSet(VARS, consts, s.w.copy()) == s
+    for w in (s.u.leave(s.w), s.w[0], np.zeros((1, 2, 2)), np.zeros((1, 1, 3, 3))):
+        with pytest.raises(ValueError, match=r"for \(m, 3, 3\) engine rows"):
+            SymbolicSet(VARS, consts, w)
 
 
 def test_full_and_empty():
@@ -148,6 +162,104 @@ def test_complement_matches_per_clause_reference():
                 full.with_weights(np.maximum(a, b)) for a in rows for b in comp
             )
         assert [m.w.tobytes() for m in complement(s).members] == expect
+
+
+def _full_layout_normalise(u, ws, close=True) -> np.ndarray:
+    """The set normaliser over the full layout, one node per constant, kept
+    as the reference of the engine layout's: the rows closed over u.seed,
+    those with +inf or a positive cycle dropped, then the repeats and the
+    covered rows."""
+    n = len(u.nodes)
+    ws = np.array(ws, dtype=float).reshape(len(ws), n, n)
+    if close:
+        ws = ws[~np.isposinf(ws).any(axis=(1, 2))]
+        ws = ws[close_seeded(ws, u.seed)]
+    rows = sorted({w.tobytes(): i for i, w in enumerate(ws)}.items())
+    ws = ws[[i for _, i in rows]]
+    keep = [np.count_nonzero((ws <= w).all(axis=(1, 2))) == 1 for w in ws]
+    return ws[np.array(keep, dtype=bool)]
+
+
+def _full_layout_complement(u, ws) -> np.ndarray:
+    """complement over the full layout, with the full floor."""
+    n = len(u.nodes)
+    if not len(ws):
+        return _full_layout_normalise(u, np.full((1, n, n), NEG_INF))
+    result = None
+    for w in ws:
+        i, j = np.nonzero(w > u.floor)
+        negs = np.full((len(i), n, n), NEG_INF)
+        negs[np.arange(len(i)), j, i] = 1 - w[i, j]
+        if result is not None:
+            negs = np.maximum(result[:, None], negs[None, :]).reshape(-1, n, n)
+        result = _full_layout_normalise(u, negs)
+        if not len(result):
+            break
+    return result
+
+
+@pytest.mark.parametrize("consts", [(), (0,), (-1, 3), (-3, 0, 2, 5)])
+def test_set_algebra_in_the_engine_layout_matches_the_full_layout(consts):
+    # atom_set, complement, intersect_sets, union, contains and make_set
+    # against the full-layout normaliser, byte for byte after leaving the
+    # engine layout: clauses between two constants true and false, graphs
+    # unclosed, unsatisfiable or with +inf, the empty and the full set
+    rng = random.Random(49)
+    seen = dict.fromkeys(("empty", "full", "several", "false pair", "+inf"), 0)
+    for _ in range(40):
+        vars = ("x", "y", "z")[: rng.randint(2 - min(len(consts), 1), 3)]
+        u = universe(vars, consts)
+        terms = list(vars) + list(consts)
+
+        def clause():
+            a, b = rng.sample(terms, 2)
+            if is_const(a) and is_const(b):
+                return Clause(a, b, a - b + rng.choice((-1, 0, 1)))
+            return Clause(a, b, rng.randint(-3, 3))
+
+        def atom():
+            clauses = [clause() for _ in range(rng.randint(0, 3))]
+            seen["false pair"] += any(is_const(c.left) and is_const(c.right)
+                                      and c.left - c.right < c.k for c in clauses)
+            return atom_set(vars, consts, clauses), _full_layout_normalise(u, clause_stack(u, [clauses]))
+
+        def graphs():
+            gs = [random_plain_mg(rng, vars, consts, 4, -3, 3) for _ in range(rng.randint(0, 3))]
+            if gs and rng.random() < 0.3:
+                # a +inf entry, which no cycle need meet
+                w = np.full(gs[0].w.shape, NEG_INF)
+                w[tuple(rng.sample(range(len(w)), 2))] = POS_INF
+                gs.append(gs[0].with_weights(w))
+                seen["+inf"] += 1
+            return make_set(vars, consts, gs), _full_layout_normalise(u, [g.w for g in gs])
+
+        n = len(u.nodes)
+        pairs = [atom(), atom(), graphs(), graphs(),
+                 (full_set(vars, consts), _full_layout_normalise(u, np.full((1, n, n), NEG_INF))),
+                 (make_set(vars, consts), np.empty((0, n, n)))]
+        for _ in range(6):
+            (s, a), (t, b) = rng.choice(pairs), rng.choice(pairs)
+            op = rng.randrange(3)
+            if op == 0:
+                pairs.append((complement(s), _full_layout_complement(u, a)))
+            elif op == 1:
+                prods = np.maximum(a[:, None], b[None, :]).reshape(-1, n, n)
+                pairs.append((intersect_sets(s, t), _full_layout_normalise(u, prods)))
+            else:
+                pairs.append((union(s, t), _full_layout_normalise(u, np.concatenate((a, b)), False)))
+        for s, a in pairs:
+            assert s.w.shape[1:] == (u.size, u.size)
+            assert u.leave(s.w).tobytes() == a.tobytes()
+            assert [m.w.tobytes() for m in s.members] == [w.tobytes() for w in a]
+            for _ in range(3):
+                v = random_valuation(rng, vars)
+                assert contains(s, v) == bool((differences(u.nodes, v) >= a).all(axis=(1, 2)).any())
+            seen["empty"] += len(a) == 0
+            seen["full"] += len(a) == 1 and bool((a[0] <= u.floor).all())
+            seen["several"] += len(a) > 1
+    if len(consts) < 2:
+        del seen["false pair"]
+    assert all(k >= 5 for k in seen.values()), seen
 
 
 # -- union ---------------------------------------------------------------------
@@ -510,16 +622,19 @@ def _one_at_a_time_pool(gcs, s, guard, actions, metrics, max_pool, stop_at, seen
     """The pre_star pool explored one member at a time, each composition
     result tested against the pool as it stands and counted as it comes: the
     loop that frontier batching replaced, kept as its reference.  Returns the
-    pool stack, True on an early-stop hit, or raises PoolLimitExceeded;
-    counts in seen the results that only a row of their own layer covers."""
+    pool stack, entered into the engine layout as pre_star's is, True on an
+    early-stop hit, or raises PoolLimitExceeded; counts in seen the results
+    that only a row of their own layer covers.  The pool is kept in the full
+    layout, which s leaves first."""
     metrics.dimension = len(s.u.nodes) ** 2
     metrics.constants_magnitude = max((abs(c) for c in s.consts), default=0)
     metrics.constraint_count = len(gcs.rules)
     rules = transitional_graphs(gcs, guard, actions)
+    start = s.u.leave(s.w)
     diff = None if stop_at is None else differences(s.u.nodes, stop_at)
-    if diff is not None and any((diff >= w).all() for w in s.w):
+    if diff is not None and any((diff >= w).all() for w in start):
         return True
-    pool, head, layer_end = list(s.w), 0, len(s.w)
+    pool, head, layer_end = list(start), 0, len(start)
     while head < len(pool) and len(rules):
         if head == layer_end:
             layer_end = len(pool)
@@ -542,7 +657,7 @@ def _one_at_a_time_pool(gcs, s, guard, actions, metrics, max_pool, stop_at, seen
             metrics.pool_size = max(metrics.pool_size, len(pool))
             if max_pool is not None and len(pool) > max_pool:
                 raise PoolLimitExceeded(f"reachability pool exceeded the cap of {max_pool} graphs")
-    return np.array(pool).reshape(len(pool), *s.w.shape[1:])
+    return s.u.enter(np.array(pool).reshape(len(pool), *start.shape[1:]))
 
 
 def _explore(explore):
@@ -704,10 +819,9 @@ def test_pre_star_composes_once_per_layer(countdown, monkeypatch):
     target = aset(*XY_ZERO)
     depth = {0: 0}
     rules = transitional_graphs(countdown)
-    pool, head = list(target.w), 0
+    pool, head = list(target.w), 0  # in the engine layout, as the set's rows are
     while head < len(pool):
-        for pw in compose_batch(rules, target.u.enter(pool[head])):
-            pw = None if pw is None else target.u.leave(pw[None])[0]
+        for pw in compose_batch(rules, pool[head]):
             if pw is not None and not any((p <= pw).all() for p in pool):
                 depth[len(pool)] = depth[head] + 1
                 pool.append(pw)
@@ -723,4 +837,5 @@ def test_pre_star_composes_once_per_layer(countdown, monkeypatch):
     layers = max(depth.values()) + 1
     assert len(calls) == layers and sum(calls) == len(pool)
     assert 1 < layers < len(pool)
-    assert same_set(star, make_set(VARS, CONSTS, [MonotonicityGraph(VARS, CONSTS, False, w) for w in pool]))
+    graphs = [MonotonicityGraph(VARS, CONSTS, False, w) for w in target.u.leave(np.array(pool))]
+    assert same_set(star, make_set(VARS, CONSTS, graphs))

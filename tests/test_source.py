@@ -200,3 +200,34 @@ def test_no_function_calls_itself_by_name():
                         found.append(name)
                         break
     assert sorted(found) == sorted(name for name, _ in RECURSIVE)
+
+
+# the functions outside mg that may convert between the full layout and the
+# engine layout, which sets and the reachability engine keep: graphs and
+# valuations enter, members and the JSON text leave, and complement enters
+# the universe's floor table, not a row
+LAYOUT_EDGE = {"sets.make_set", "sets.contains", "sets._pre_star_pool", "sets.SymbolicSet.members",
+               "frontend.dump_set", "sets.complement"}
+
+
+def test_the_layout_is_converted_only_at_the_edge():
+    # Universe.enter and leave are named outside mg only by the edge
+    # functions, and never inside a loop: the pool loop of _pre_star_pool,
+    # pre_action and the set algebra read and return engine rows as they are
+    found = []
+    for path in sorted(Path(gapmc.__file__).parent.glob("*.py")):
+        if path.name == "mg.py":
+            continue
+        todo = [(ast.parse(path.read_text(), str(path)), path.stem, False)]
+        while todo:
+            node, scope, in_loop = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                named = scope
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    named = f"{scope}.{child.name}"
+                if isinstance(child, ast.Attribute) and child.attr in ("enter", "leave"):
+                    found.append((named, in_loop))
+                loop = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+                todo.append((child, named, in_loop or isinstance(child, loop)))
+    assert {"sets.make_set", "frontend.dump_set"} <= {name for name, _ in found}
+    assert [use for use in found if use[0] not in LAYOUT_EDGE or use[1]] == []
