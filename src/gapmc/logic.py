@@ -7,17 +7,18 @@ by the backward-reachability fixpoint.  check answers at the valuation: it
 evaluates ¬, ∧ and ∨ above the first modality as booleans, short-circuiting
 ∧ and ∨, answers each EF there by early-stopping reachability and any other
 node by membership in its set, so a subformula that cannot change the
-verdict is never denoted.  Each call hash-conses its formula first
-(Filliâtre & Conchon, "Type-safe modular hash-consing", 2006), so a
-subformula that occurs many times, as in characteristic formulas, is
-evaluated once.  EG and E..U nodes exist so that input can be parsed and
+verdict is never denoted.  Each call first numbers its formula's nodes by
+structure, as hash-consing does (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006) but without building a node, so a subformula that
+occurs many times, as in characteristic formulas, is one class, evaluated
+once.  EG and E..U nodes exist so that input can be parsed and
 rejected with a clear diagnostic: their model checking problem over
 gap-order systems is undecidable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from . import sets
@@ -31,41 +32,49 @@ class UndecidableFormulaError(ValueError):
 
 
 class Formula:
-    """Base class; subclasses are frozen dataclasses.  Their equality and
-    hash are structural and recurse through every subformula, so evaluation
-    does not use them: denote and check intern the formula first."""
+    """Base class; subclasses are frozen dataclasses.  Equality and hash are
+    structural: they compare the key sequences of _classes, one walk with an
+    explicit stack, so they take no recursion at any depth or width."""
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return self is other or list(_classes(self)[0]) == list(_classes(other)[0])
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash(tuple(_classes(self)[0]))
+
+
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     clause: Clause
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NotF(Formula):
     f: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AndF(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrF(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Diamond(Formula):
     """⟨a⟩f, optionally guarded: the witnessing step must also satisfy the
     transitional guard clauses (these may be non-positive; the guard is
@@ -76,7 +85,7 @@ class Diamond(Formula):
     guard: tuple[Clause, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ef(Formula):
     """EF f, optionally restricted to an action subset and to steps
     satisfying a positive transitional guard."""
@@ -86,14 +95,14 @@ class Ef(Formula):
     actions: Optional[tuple[str, ...]] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eg(Formula):
     f: Formula
     guard: tuple[Clause, ...] = ()
     actions: Optional[tuple[str, ...]] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eu(Formula):
     left: Formula
     right: Formula
@@ -133,12 +142,14 @@ def and_all(fs: list[Formula]) -> Formula:
     return out
 
 
-# the subformula fields of each node type, left to right, and the others
+# the subformula fields of each node type, left to right, and the others;
+# the types that count one level of nesting depth
 _OPERANDS = {
     Atom: (), TrueF: (), NotF: ("f",), AndF: ("left", "right"), OrF: ("left", "right"),
     Diamond: ("f",), Ef: ("f",), Eg: ("f",), Eu: ("left", "right"),
 }
 _LEAVES = {t: tuple(k for k in t.__dataclass_fields__ if k not in ops) for t, ops in _OPERANDS.items()}
+_LEVELS = (NotF, Diamond, Ef, Eg, Eu)
 
 
 def _subformulas(f: Formula) -> list[Formula]:
@@ -164,17 +175,28 @@ def postorder(f, children=_subformulas) -> list:
     return order
 
 
+def _classes(f: Formula) -> tuple[dict[tuple, int], dict[int, int], list[int]]:
+    """f's nodes numbered by structure in one walk: a node's key is its type,
+    its operands' classes and its other fields; each distinct key is a class,
+    numbered operands first, so f's class is last.  Returns key -> class
+    in that order, id(node) -> class for every node object of f and each
+    class's nesting depth.  No node is built; the ids hold while f lives."""
+    keys, of, depth = {}, {}, []
+    for node in postorder(f):
+        t = type(node)
+        ops = [of[id(getattr(node, k))] for k in _OPERANDS[t]]
+        c = of[id(node)] = keys.setdefault((t, *ops, *[getattr(node, k) for k in _LEAVES[t]]), len(keys))
+        if c == len(depth):
+            depth.append(max([depth[o] for o in ops], default=0) + (t in _LEVELS))
+    return keys, of, depth
+
+
 def nesting_depth(f: Formula) -> int:
     """Maximum count of negation/modal operators along any path; the measure
     reported in metrics (one fixed definition, recorded here: every NotF,
-    Diamond and Ef node counts one level).  Each node object of the formula
-    DAG is visited once: characteristic formulas share subformulas, and are
-    far larger as trees."""
-    depth: dict[int, int] = {}
-    for node in postorder(f):
-        below = max([depth[id(c)] for c in _subformulas(node)], default=0)
-        depth[id(node)] = below + isinstance(node, (NotF, Diamond, Ef, Eg, Eu))
-    return depth[id(f)]
+    Diamond, Ef, Eg and Eu node counts one level), read from _classes: each
+    node object is visited once, and shared DAGs are far larger as trees."""
+    return _classes(f)[2][-1]
 
 
 def action_names(f: Formula) -> set[str]:
@@ -196,44 +218,30 @@ class Denotation:
 
 
 class _Evaluation:
-    """One denote or check call of formula f over system g.  f is interned
-    into root: structurally equal nodes become one object, so denotations
-    are memoised on node identity for the whole call, and each (guard,
-    action set) closes its rule stack once.  root refers to every interned
-    node, which keeps each id used as a key valid for the call; nothing is
-    shared between calls."""
+    """One denote or check call of formula f over system g.  The nodes of f
+    are numbered by structure (_classes), so denotations are memoised per
+    class for the whole call, and each (guard, action set) closes its rule
+    stack once.  The caller holds f for the call, which keeps each id in the
+    numbering valid; nothing is shared between calls.  EG and E..U are
+    refused from the numbering, before any set work."""
 
     def __init__(self, g: Gcs, f: Formula, metrics: Optional[Metrics], max_pool):
         self.g, self.max_pool = g, max_pool
         self.metrics = metrics = metrics if metrics is not None else Metrics()
         metrics.saw_system(g)
-        self.conj: set[int] = set()  # interned conjunctions of atoms only
-        self.stacks: dict[tuple, RuleStack] = {}
-        self.memo: dict[int, SymbolicSet] = {}  # id(interned node) -> its set
-        self.root = self.intern(f)
-        metrics.nesting_depth = max(metrics.nesting_depth, nesting_depth(self.root))
-
-    def intern(self, f: Formula) -> Formula:
-        """The interned copy of f; EG and E..U are refused before any work."""
-        nodes: dict[tuple, Formula] = {}  # structural key -> interned node
-        canon: dict[int, Formula] = {}  # id(node of f) -> interned node
-        for node in postorder(f):
-            t = type(node)
+        keys, self.cls, depth = _classes(f)  # id(node of f) -> its class
+        self.conj: set[int] = set()  # classes of atoms and of conjunctions of atoms only
+        for c, (t, *ops) in enumerate(keys):
             if t is Eg or t is Eu:
                 raise UndecidableFormulaError(
                     f"{'EG' if t is Eg else 'E..U'} model checking over gap-order "
                     "constraint systems is undecidable; only the EF fragment is supported"
                 )
-            ops = {k: canon[id(getattr(node, k))] for k in _OPERANDS[t]}
-            key = (t, *map(id, ops.values()), *[getattr(node, k) for k in _LEAVES[t]])
-            c = nodes.get(key)
-            if c is None:
-                same = all(v is getattr(node, k) for k, v in ops.items())
-                c = nodes[key] = node if same else replace(node, **ops)
-                if t is AndF and all(type(x) is Atom or id(x) in self.conj for x in ops.values()):
-                    self.conj.add(id(c))
-            canon[id(node)] = c
-        return canon[id(f)]
+            if t is Atom or t is AndF and ops[0] in self.conj and ops[1] in self.conj:
+                self.conj.add(c)
+        self.stacks: dict[tuple, RuleStack] = {}
+        self.memo: dict[int, SymbolicSet] = {}  # class -> its set
+        metrics.nesting_depth = max(metrics.nesting_depth, depth[-1])
 
     def rules(self, guard, actions) -> RuleStack:
         key = (tuple(guard), None if actions is None else frozenset(actions))
@@ -242,43 +250,44 @@ class _Evaluation:
         return self.stacks[key]
 
     def denote(self, f: Formula) -> SymbolicSet:
-        """The set of interned f, each node evaluated once in the call,
-        operands first; a conjunction of atoms is one graph, closed once, so
-        its operands are not evaluated on its behalf."""
-        memo = self.memo
-        operands = lambda n: () if id(n) in self.conj or id(n) in memo else _subformulas(n)
+        """The set of the node f of the call's formula, each class evaluated
+        once in the call, operands first; a conjunction of atoms is one
+        graph, closed once, so its operands are not evaluated on its behalf."""
+        memo, cls = self.memo, self.cls
+        operands = lambda n: () if cls[id(n)] in self.conj or cls[id(n)] in memo else _subformulas(n)
         for node in postorder(f, operands):
-            if id(node) not in memo:
-                memo[id(node)] = self._step(node, lambda x: memo[id(x)])
-        return memo[id(f)]
+            if cls[id(node)] not in memo:
+                memo[cls[id(node)]] = self._step(node, lambda x: memo[cls[id(x)]])
+        return memo[cls[id(f)]]
 
     def check(self, f: Formula, v: dict) -> bool:
-        """Does v satisfy interned f?  The boolean skeleton above the first
-        modality is evaluated at v, left operand first, and ∧/∨ stop at the
-        first operand that decides them; an EF whose set is not yet known is
-        answered by the early-stopping reaches, any other node by membership
-        in its set.  Walks an explicit stack, so any width works."""
-        truth: dict[int, bool] = {}
-        stack = [f]
+        """Does v satisfy the node f of the call's formula?  The boolean
+        skeleton above the first modality is evaluated at v, left operand
+        first, and ∧/∨ stop at the first operand that decides them; an EF
+        whose class has no set yet is answered by the early-stopping
+        reaches, any other node by membership in its set.  Walks an explicit
+        stack, so any width works."""
+        truth: dict[int, bool] = {}  # class -> its value at v
+        cls, stack = self.cls, [f]
         while stack:
             node = stack[-1]
-            t = type(node)
+            t, c = type(node), cls[id(node)]
             if t is TrueF:
                 value = True
-            elif t is NotF or (t is AndF or t is OrF) and id(node) not in self.conj:
+            elif t is NotF or (t is AndF or t is OrF) and c not in self.conj:
                 first, *rest = _subformulas(node)
-                value = truth.get(id(first))
+                value = truth.get(cls[id(first)])
                 if value is None:
                     stack.append(first)
                     continue
                 if t is NotF:
                     value = not value
                 elif value == (t is AndF):  # left does not decide: right does
-                    value = truth.get(id(rest[0]))
+                    value = truth.get(cls[id(rest[0])])
                     if value is None:
                         stack.append(rest[0])
                         continue
-            elif t is Ef and id(node) not in self.memo:
+            elif t is Ef and c not in self.memo:
                 value = sets.reaches(
                     self.g, v, self.denote(node.f), node.guard, node.actions,
                     metrics=self.metrics, max_pool=self.max_pool,
@@ -286,15 +295,13 @@ class _Evaluation:
                 )
             else:
                 value = sets.contains(self.denote(node), v)
-            truth[id(node)] = value
+            truth[c] = value
             stack.pop()
-        return truth[id(f)]
+        return truth[cls[id(f)]]
 
     def _step(self, f: Formula, d) -> SymbolicSet:
         g = self.g
-        if isinstance(f, Atom):
-            return sets.atom_set(g.vars, g.consts, [f.clause])
-        if id(f) in self.conj:
+        if self.cls[id(f)] in self.conj:
             return sets.atom_set(g.vars, g.consts, [a.clause for a in postorder(f) if type(a) is Atom])
         if isinstance(f, TrueF):
             return sets.full_set(g.vars, g.consts)
@@ -307,7 +314,7 @@ class _Evaluation:
         if isinstance(f, Diamond):
             rules = self.rules(f.guard, (f.action,))
             return sets.pre_action(g, f.action, d(f.f), f.guard, self.metrics, rules=rules)
-        # Ef: interning refused EG and E..U, _subformulas any other type
+        # Ef: the numbering refused EG and E..U, _subformulas any other type
         return sets.pre_star(
             g, d(f.f), f.guard, f.actions, metrics=self.metrics,
             max_pool=self.max_pool, rules=self.rules(f.guard, f.actions),
@@ -324,7 +331,7 @@ def denote(
     """The set of valuations satisfying f, by bottom-up evaluation of its
     structurally distinct subformulas, each once (see _Evaluation)."""
     ev = _Evaluation(g, f, metrics, max_pool)
-    return Denotation(ev.denote(ev.root), f, ev.metrics)
+    return Denotation(ev.denote(f), f, ev.metrics)
 
 
 def check(
@@ -341,4 +348,4 @@ def check(
     and a subformula that does not decide the verdict is not evaluated."""
     sets.check_valuation(g.vars, v)  # before any fixpoint work
     ev = _Evaluation(g, f, metrics, max_pool)
-    return ev.check(ev.root, dict(v))
+    return ev.check(f, dict(v))

@@ -470,8 +470,7 @@ def compose_batch(rules: RuleStack, mws: np.ndarray) -> list[Optional[np.ndarray
     frontier and every graph g of the stack, member-major: entry
     i * len(rules) + j is member i composed with rule j, None where
     unsatisfiable.  mws holds the closed satisfiable plain members in the
-    engine layout as a (k, m, m) stack, or one (m, m) matrix as a frontier
-    of one.
+    engine layout as a (k, m, m) stack.
 
     Pairs where some primed variable's bounds against c0 conflict are
     rejected for the whole frontier at once, before any closure.  The
@@ -481,18 +480,16 @@ def compose_batch(rules: RuleStack, mws: np.ndarray) -> list[Optional[np.ndarray
     the one constant node of the layout, which every constant's edges are
     shifts of.  A positive cycle therefore shows on the diagonal after these
     pivots, which is tested once."""
-    m = mws.shape[-1]
-    mws = mws.reshape(-1, m, m)
-    r = len(rules)
-    out: list[Optional[np.ndarray]] = [None] * (len(mws) * r)
+    k, m, r = len(mws), mws.shape[-1], len(rules)
+    out: list[Optional[np.ndarray]] = [None] * (k * r)
     if rules._neg_bounds is None:
         idx = np.arange(len(out))
     else:
-        probe = mws.reshape(-1, m * m).take(rules.probe, axis=1)
+        probe = mws.reshape(k, m * m).take(rules.probe, axis=1)
         ok = (probe[:, None, :] <= rules._neg_bounds[None, :, :]).all(axis=2)
         idx = ok.ravel().nonzero()[0]
     n = rules.w.shape[-1]
-    step = max(1, _COMPOSE_CHUNK // (n * n))
+    step = max(1, _COMPOSE_CHUNK // max(1, n * n))
     for c in range(0, len(idx), step):
         part = idx[c : c + step]
         member, rule = np.divmod(part, r)
@@ -500,8 +497,8 @@ def compose_batch(rules: RuleStack, mws: np.ndarray) -> list[Optional[np.ndarray
         block = ws[:, rules.u.block, rules.u.block]
         np.maximum(block, mws.take(member, axis=0), out=block)
         _close_stack(ws, rules._pivots)
-        sat = ws.diagonal(0, 1, 2).max(axis=1) <= 0
-        proj = ws[sat].reshape(-1, n * n).take(rules._proj, axis=1).reshape(-1, m, m)
-        for t, pw in zip(part[sat].tolist(), proj):
+        sat = (ws.diagonal(0, 1, 2) <= 0).all(axis=1)
+        proj = ws.reshape(len(ws), n * n)[sat].take(rules._proj, axis=1)
+        for t, pw in zip(part[sat].tolist(), proj.reshape(len(proj), m, m)):
             out[t] = pw
     return out

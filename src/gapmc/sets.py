@@ -238,7 +238,8 @@ def pre_action(
     if rules is None:
         rules = transitional_graphs(gcs, guard, (action,))
     results = compose_batch(rules, s.w)
-    ws = np.array([pw for pw in results if pw is not None]).reshape(-1, s.u.size, s.u.size)
+    kept = [pw for pw in results if pw is not None]
+    ws = np.array(kept).reshape(len(kept), s.u.size, s.u.size)
     (metrics or Metrics()).saw_batch(len(results), ws, s.u)
     return _normalise(s.u, ws, close=False)
 
@@ -332,7 +333,7 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
         if n_pool + len(sat) > len(pool):
             grow = np.empty((max(n_pool, len(sat)),) + pool.shape[1:])
             pool = np.concatenate([pool[:n_pool], grow])
-        pool[n_pool : n_pool + len(sat)] = np.reshape([results[t] for t in sat], (-1, *pool.shape[1:]))
+        pool[n_pool : n_pool + len(sat)] = np.reshape([results[t] for t in sat], (len(sat), *pool.shape[1:]))
         # the results no earlier row covers: by transitivity of covering,
         # those that adding them one at a time would keep
         fresh = (~_covered(pool[: n_pool + len(sat)], n_pool, rules.probe)).nonzero()[0]
@@ -371,11 +372,11 @@ def _covered(rows: np.ndarray, start: int, probe: Optional[np.ndarray]) -> np.nd
     if start == len(rows):
         return np.zeros(0, dtype=bool)
     size = rows.shape[-1] ** 2
-    flat = rows.reshape(-1, size)
+    flat = rows.reshape(len(rows), size)
     keys = flat if probe is None else flat.take(probe, axis=1)
     out = np.zeros(len(rows) - start, dtype=bool)
     step = max(1, _COVER_CHUNK // max(1, len(rows) * keys.shape[1]))
-    pairs = max(1, _COVER_CHUNK // size)
+    pairs = max(1, _COVER_CHUNK // max(1, size))
     for a in range(start, len(rows), step):
         # row a + i against the rows before it
         hit = (keys[None, : a + step] <= keys[a : a + step, None]).all(axis=2)

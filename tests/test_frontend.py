@@ -404,12 +404,27 @@ def test_formula_printer_matches_the_recursive_reference():
 
 def test_a_wide_formula_prints_and_parses_back():
     # the printer keeps its own stack: a 3000-wide disjunction prints, and
-    # the left-associative parse reads it back (compared as text, since the
-    # dataclasses' == recurses)
+    # the left-associative parse reads it back
     f = or_all([Atom(Clause("x", 0, k)) for k in range(3000)])
     text = serialize_formula(f)
     assert text.count(" | ") == 2999
     assert serialize_formula(parse_formula(text)) == text
+    assert parse_formula(text) == f and hash(parse_formula(text)) == hash(f)
+
+
+def test_wide_formulas_compare_and_hash_without_recursion():
+    # formula == and hash walk the nodes with an explicit stack: two parses
+    # of a 3000-term & chain are equal and hash alike, and one term less or
+    # one offset changed is not equal
+    text = " & ".join(f"x - 0 >= {k}" for k in range(3000))
+    a, b = parse_formula(text), parse_formula(text)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != parse_formula(text.rsplit(" & ", 1)[0])
+    assert a != parse_formula(text.replace(">= 1500", ">= -1500"))
+    # sharing does not count: a shared operand equals two equal copies
+    x = Atom(Clause("x", 0, 1))
+    assert AndF(x, x) == AndF(Atom(Clause("x", 0, 1)), Atom(Clause("x", 0, 1)))
+    assert AndF(x, x) != OrF(x, x) and Ef(x) != Ef(x, actions=()) and x != "x"
 
 
 # -- valuations ----------------------------------------------------------------------------

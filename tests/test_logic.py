@@ -7,6 +7,7 @@ import pytest
 
 from gapmc import oracle, sets
 from gapmc.bisim import FiniteLts, characteristic_formula, equiv_check
+from gapmc.gcs import Gcs, TransitionRule
 from gapmc.logic import (
     AndF,
     Atom,
@@ -14,6 +15,7 @@ from gapmc.logic import (
     Ef,
     Eg,
     Eu,
+    Formula,
     NotF,
     OrF,
     TrueF,
@@ -187,6 +189,9 @@ def test_nesting_depth_examples():
     assert nesting_depth(Atom(Clause("x", 0, 0))) == 0
     assert nesting_depth(Ef(NotF(Diamond("a", TrueF())))) == 3
     assert nesting_depth(AndF(NotF(TrueF()), TrueF())) == 1
+    # EG and E(.. U ..) count a level each: they are measured, not refused
+    assert nesting_depth(Eg(NotF(TrueF()))) == 2
+    assert nesting_depth(NotF(Eu(Diamond("a", TrueF()), TrueF()))) == 3
 
 
 def test_nesting_depth_of_shared_subformulas():
@@ -422,3 +427,38 @@ def test_the_engine_builds_no_graph_object(countdown, monkeypatch):
     for mode in ("strong", "weak"):
         equiv_check(countdown, {"x": 1, "y": 0}, loop, "s", mode=mode)
     assert built == []
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_evaluation_builds_no_formula_node(countdown, monkeypatch, mode):
+    # each call numbers the caller's own nodes by structure; it builds none,
+    # though Θ repeats subformulas as distinct objects
+    acts = ("a", "b", "tau")
+    loop = FiniteLts(("s", "t", "u"), acts, frozenset(
+        {("s", "a", "s"), ("s", "b", "t"), ("t", "tau", "u"), ("u", "b", "s")}))
+    theta = characteristic_formula(loop, "s", mode, alphabet=acts)
+    built = []
+    for cls in Formula.__subclasses__():
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, **kwargs):
+            built.append(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    for v in ({"x": 0, "y": 0}, {"x": 2, "y": 1}):
+        check(countdown, v, theta)
+    denote(countdown, theta)
+    assert built == []
+
+
+@pytest.mark.parametrize("rules", [(TransitionRule("r", (), "a"),), ()], ids=["a-rule", "no-rule"])
+def test_a_universe_with_no_node(rules):
+    # no variable and no constant: the one valuation is {}, every set is
+    # the full or the empty one, and <a>true holds iff some rule is labeled a
+    g = Gcs((), (), ("a",), rules)
+    step = bool(rules)
+    for f, expect in ((Diamond("a", TrueF()), step), (Ef(TrueF()), True), (NotF(Diamond("a", TrueF())), not step)):
+        s = denote(g, f).set
+        assert s == full_set((), ()) if expect else s.is_empty(), f
+        assert check(g, {}, f) is expect, f

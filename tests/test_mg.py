@@ -344,7 +344,7 @@ def test_compose_batch_matches_compose(vars, consts):
         singles, members = [], []
         for _ in range(10):
             m = _closed_sat(rng, lambda r: random_plain_mg(r, vars, consts, max_clauses=5))
-            got = compose_batch(stack, pu.enter(m.w))
+            got = compose_batch(stack, pu.enter(m.w)[None])
             assert len(got) == len(rules)
             for g, p in zip(rules, got):
                 ref = compose(g, m)
@@ -506,7 +506,7 @@ def test_compose_batch_matches_compose_on_pinned_rules(vars, consts):
         stack = RuleStack(vars, consts, ws)
         for _ in range(5):
             m = _closed_sat(rng, lambda r: random_plain_mg(r, vars, consts, max_clauses=5))
-            for g, p in zip(kept, compose_batch(stack, pu.enter(m.w))):
+            for g, p in zip(kept, compose_batch(stack, pu.enter(m.w)[None])):
                 ref = compose(g, m)
                 if ref.is_satisfiable():
                     assert p is not None and pu.leave(p[None]).tobytes() == ref.w.tobytes()

@@ -639,7 +639,7 @@ def _one_at_a_time_pool(gcs, s, guard, actions, metrics, max_pool, stop_at, seen
         if head == layer_end:
             layer_end = len(pool)
         head += 1
-        for pw in compose_batch(rules, s.u.enter(pool[head - 1])):
+        for pw in compose_batch(rules, s.u.enter(pool[head - 1])[None]):
             metrics.graphs_created += 1
             if pw is None:
                 continue
@@ -821,7 +821,7 @@ def test_pre_star_composes_once_per_layer(countdown, monkeypatch):
     rules = transitional_graphs(countdown)
     pool, head = list(target.w), 0  # in the engine layout, as the set's rows are
     while head < len(pool):
-        for pw in compose_batch(rules, pool[head]):
+        for pw in compose_batch(rules, pool[head][None]):
             if pw is not None and not any((p <= pw).all() for p in pool):
                 depth[len(pool)] = depth[head] + 1
                 pool.append(pw)

@@ -53,7 +53,7 @@ def test_every_cache_is_bounded_and_lives_in_mg():
     assert all(isinstance(f.cache_parameters()["maxsize"], int) for f in cached)
 
 
-# functions of mg and sets that no module under src/gapmc or bench/ calls,
+# functions of mg, sets and logic that no module under src/gapmc or bench/ calls,
 # kept because tests judge the engine by them, each with the reason
 TEST_JUDGES = (
     ("compose", "the full-closure composition that compose_batch is checked against"),
@@ -93,7 +93,7 @@ def _names(tree, skip=None):
 
 
 def test_every_engine_function_has_a_caller():
-    # a function of mg or sets that no code outside its own body refers to
+    # a function of mg, sets or logic that no code outside its own body refers to
     # is dead, unless tests judge the engine by it; a method counts only as
     # an attribute (x.name), not as a same-named local or string key.
     # Protocol methods (__eq__, ...) are called by the language and are not
@@ -103,7 +103,7 @@ def test_every_engine_function_has_a_caller():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
     judges = {name for name, _ in TEST_JUDGES}
     defined, uncalled = set(), []
-    for module in ("mg.py", "sets.py"):
+    for module in ("mg.py", "sets.py", "logic.py"):
         own = trees[pkg / module]
         others = [_names(t) for t in trees.values() if t is not own]
         functions = [(d, False) for d in own.body]
