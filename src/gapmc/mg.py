@@ -432,9 +432,9 @@ class RuleStack:
             # -A[x', c0] (and symmetrically B[x, c0] against -A[c0, x']);
             # kept here as the flat indices of those member entries (a member
             # lists its nv variables first), the probe, and the negated rule
-            # entries
+            # entries, probe-major: the prefilter reduces over that short axis
             c, m = e - 1, len(keep)
-            self._neg_bounds = -np.concatenate((w[:, primed, c], w[:, c, primed]), axis=1)
+            self._neg_bounds = -np.concatenate((w[:, primed, c].T, w[:, c, primed].T))
             self.probe = np.concatenate((np.arange(nv) + nv * m, np.arange(nv) * m + nv))
             self._pivots = primed + [c]
         else:
@@ -485,8 +485,8 @@ def compose_batch(rules: RuleStack, mws: np.ndarray) -> list[Optional[np.ndarray
     if rules._neg_bounds is None:
         idx = np.arange(len(out))
     else:
-        probe = mws.reshape(k, m * m).take(rules.probe, axis=1)
-        ok = (probe[:, None, :] <= rules._neg_bounds[None, :, :]).all(axis=2)
+        probe = mws.reshape(k, m * m).T[rules.probe]
+        ok = np.logical_and.reduce(probe[:, :, None] <= rules._neg_bounds[:, None, :], axis=0)
         idx = ok.ravel().nonzero()[0]
     n = rules.w.shape[-1]
     step = max(1, _COMPOSE_CHUNK // max(1, n * n))

@@ -26,9 +26,19 @@ log = logging.getLogger(__name__)
 
 
 class BoolExpr:
-    """Base class; its walks go through logic.postorder, so any depth works."""
+    """Base class; its walks go through logic.postorder, so any depth works.
+    Equality and hash are structural: they compare the key sequences of
+    _keys, one such walk, so they take no recursion at any depth or width."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, BoolExpr):
+            return NotImplemented
+        return self is other or _keys(self) == _keys(other)
+
+    def __hash__(self):
+        return hash(tuple(_keys(self)))
 
     def eval(self, env: dict):
         """The value under env, folded up from the variables.  env maps each
@@ -50,23 +60,23 @@ class BoolExpr:
         return {e.name for e in postorder(self, _operands) if type(e) is BVar}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BVar(BoolExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BNot(BoolExpr):
     f: BoolExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BAnd(BoolExpr):
     left: BoolExpr
     right: BoolExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BOr(BoolExpr):
     left: BoolExpr
     right: BoolExpr
@@ -76,6 +86,19 @@ def _operands(e: BoolExpr) -> tuple:
     if type(e) not in (BVar, BNot, BAnd, BOr):
         raise TypeError(f"not a boolean expression: {e!r}")
     return () if type(e) is BVar else (e.f,) if type(e) is BNot else (e.left, e.right)
+
+
+def _keys(e: BoolExpr) -> list[tuple]:
+    """e's nodes numbered by structure in one walk: a node's key is its type
+    and its name or its operands' numbers; each distinct key is numbered
+    operands first.  Returns the keys in that order, e's last."""
+    number: dict[tuple, int] = {}
+    of: dict[int, int] = {}
+    for node in postorder(e, _operands):
+        key = (type(node), node.name) if type(node) is BVar else (
+            type(node), *[of[id(c)] for c in _operands(node)])
+        of[id(node)] = number.setdefault(key, len(number))
+    return list(number)
 
 
 @dataclass(frozen=True)
@@ -186,17 +209,17 @@ def _dnf(e: BoolExpr) -> list[dict]:
 
 def _guard_disjuncts(guard: Optional[BoolExpr]) -> list[dict]:
     """Guard as a small disjunction of literal conjunctions: syntactic DNF
-    with duplicates and absorbed (strictly weaker) disjuncts removed."""
+    with duplicates and absorbed (strictly weaker) disjuncts removed, sorted
+    by their items.  Each disjunct is the frozenset of its literals, and d
+    implies o iff o <= d; shortest first, a kept disjunct is never absorbed
+    by a later one, which is as long or longer."""
     if guard is None:
         return [{}]
-    disjuncts = _dnf(guard)
-    kept: list[dict] = []
-    for d in disjuncts:
-        if any(all(d.get(x, None) == v for x, v in o.items()) for o in kept):
-            continue  # d implies an already-kept disjunct
-        kept = [o for o in kept if not all(o.get(x, None) == v for x, v in d.items())]
-        kept.append(d)
-    return sorted(kept, key=lambda d: sorted(d.items()))
+    kept: list[frozenset] = []
+    for d in sorted({frozenset(d.items()) for d in _dnf(guard)}, key=len):
+        if not any(map(d.issuperset, kept)):
+            kept.append(d)
+    return [dict(d) for d in sorted(map(sorted, kept))]
 
 
 def boolean_program_to_gcs(

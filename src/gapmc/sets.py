@@ -11,11 +11,12 @@ without constraints, all valuations.
 
 Backward reachability (pre_star, reaches) explores its pool breadth first,
 one layer at a time: the rows added by the previous layer are composed with
-every rule in one compose_batch call, and the results, in (member, rule)
-order after the pool rows of the same stack, are tested for covering by any
-earlier row in one screened pass.  The first uncovered result that meets the
-early-stop valuation or breaches the pool cap ends the query; so the pool,
-the verdict and the Metrics are those of adding the results one at a time.
+every rule in one compose_batch call.  Of the results, in (member, rule)
+order, one screened pass drops each that another row covers: a pool row, an
+earlier result or a later one that differs, so the frontier is an antichain
+(of equal rows the first stays).  The first kept result that meets the
+early-stop valuation or breaches the pool cap ends the query; Metrics count
+every pair and satisfiable result up to it, once per query.
 """
 
 from __future__ import annotations
@@ -271,9 +272,10 @@ def pre_star(
     label is in ``actions`` (default: all), each step additionally satisfying
     ``guard``; ``rules``, if given, must be transitional_graphs(gcs, guard,
     actions).  Breadth-first exploration of predecessor graphs, one layer
-    per step, pruning any new graph already covered by a pool member;
-    terminates because composition with degree-0 rule graphs never raises
-    the degree and covering is a well-order at fixed degree."""
+    per step, pruning any new graph that another covers (composition is
+    monotone under ⊑, so no predecessor is lost); terminates because
+    composition with degree-0 rule graphs never raises the degree and
+    covering is a well-order at fixed degree."""
     pool = _pre_star_pool(gcs, s, guard, actions, metrics or Metrics(), max_pool, rules)
     return _normalise(s.u, pool, close=False)
 
@@ -326,65 +328,78 @@ def _pre_star_pool(gcs, s, guard, actions, metrics, max_pool, rules, stop_at=Non
     n_pool, head = len(s.w), 0
     pool = np.empty((max(16, 2 * n_pool), u.size, u.size))
     pool[:n_pool] = s.w
-    while head < n_pool and len(rules):
-        results = compose_batch(rules, pool[head:n_pool])
-        head = n_pool
-        sat = [t for t, pw in enumerate(results) if pw is not None]
-        if n_pool + len(sat) > len(pool):
-            grow = np.empty((max(n_pool, len(sat)),) + pool.shape[1:])
-            pool = np.concatenate([pool[:n_pool], grow])
-        pool[n_pool : n_pool + len(sat)] = np.reshape([results[t] for t in sat], (len(sat), *pool.shape[1:]))
-        # the results no earlier row covers: by transitivity of covering,
-        # those that adding them one at a time would keep
-        fresh = (~_covered(pool[: n_pool + len(sat)], n_pool, rules.probe)).nonzero()[0]
-        # the first fresh result that meets the valuation, or that breaches
-        # the cap, ends the query; one at a time, nothing after it was seen
-        stop = len(fresh)
-        if stop_at is not None:
-            hits = (diff >= pool[n_pool + fresh]).all(axis=(1, 2)).nonzero()[0]
-            stop = int(hits[0]) if hits.size else stop
-        cap = stop if max_pool is None else min(stop, max(0, max_pool - n_pool))
-        rows, pairs = len(sat), len(results)
-        if cap < len(fresh):
-            rows, pairs = fresh[cap] + 1, sat[fresh[cap]] + 1
-        metrics.saw_batch(pairs, pool[n_pool : n_pool + rows], u)
-        added = cap + (cap < stop)
-        pool[n_pool : n_pool + added] = pool[n_pool + fresh[:added]]
-        n_pool += added
-        if added:
-            metrics.pool_size = max(metrics.pool_size, n_pool)
-        if cap < stop:
-            raise PoolLimitExceeded(f"reachability pool exceeded the cap of {max_pool} graphs")
-        if stop < len(fresh):
-            return True
+    # the pairs and satisfiable results the Metrics count, summed up once
+    pairs, seen, held = 0, [], 0
+    try:
+        while head < n_pool and len(rules):
+            results = compose_batch(rules, pool[head:n_pool])
+            head = n_pool
+            layer = [pw for pw in results if pw is not None]
+            layer = np.array(layer).reshape(len(layer), u.size, u.size)
+            if n_pool + len(layer) > len(pool):
+                grow = np.empty((max(n_pool, len(layer)),) + pool.shape[1:])
+                pool = np.concatenate([pool[:n_pool], grow])
+            pool[n_pool : n_pool + len(layer)] = layer
+            kept = (~_covered(pool[: n_pool + len(layer)], n_pool, rules.probe)).nonzero()[0]
+            # the first kept result that meets the valuation, or that breaches
+            # the cap, ends the query; nothing after it is counted
+            stop = len(kept)
+            if stop_at is not None:
+                hits = (diff >= layer[kept]).all(axis=(1, 2)).nonzero()[0]
+                stop = int(hits[0]) if hits.size else stop
+            cap = stop if max_pool is None else min(stop, max(0, max_pool - n_pool))
+            rows, n = len(layer), len(results)
+            if cap < len(kept):
+                rows = int(kept[cap]) + 1
+                n = int(np.flatnonzero([pw is not None for pw in results])[rows - 1]) + 1
+            pairs, held = pairs + n, held + rows * u.size**2
+            seen.append(layer[:rows])
+            if held > _COVER_CHUNK:
+                metrics.saw_batch(pairs, np.concatenate(seen), u)
+                pairs, seen, held = 0, [], 0
+            added = cap + (cap < stop)
+            pool[n_pool : n_pool + added] = layer[kept[:added]]
+            n_pool += added
+            if cap < stop:
+                raise PoolLimitExceeded(f"reachability pool exceeded the cap of {max_pool} graphs")
+            if stop < len(kept):
+                return True
+    finally:
+        metrics.saw_batch(pairs, np.concatenate(seen or [pool[:0]]), u)
+        metrics.pool_size = max(metrics.pool_size, n_pool if n_pool > len(s.w) else 0)
     return pool[:n_pool]
 
 
-# elements in the largest temporary of one step of the covering test
+# elements in the largest temporary of one step of the covering test, and
+# in the results a query holds for its Metrics
 _COVER_CHUNK = 1 << 18
 
 
 def _covered(rows: np.ndarray, start: int, probe: Optional[np.ndarray]) -> np.ndarray:
-    """The mask of the rows of rows[start:] that an earlier row of rows
-    covers (p ⊑ w iff p <= w entrywise).  Pairs are screened on the flat
-    entries probe (all entries if None) and compared in full only where the
+    """The mask of the rows of rows[start:] that another row of rows covers
+    (p ⊑ w iff p <= w entrywise): an earlier row, or a later one that
+    differs, so of equal rows the first is kept.  Pairs are screened on the
+    flat entries probe (all entries if None), held probe-major so that the
+    screen reduces over its long axes, and compared in full only where the
     screen passes, in chunks of at most _COVER_CHUNK elements."""
     if start == len(rows):
         return np.zeros(0, dtype=bool)
     size = rows.shape[-1] ** 2
     flat = rows.reshape(len(rows), size)
-    keys = flat if probe is None else flat.take(probe, axis=1)
+    keys = flat.T if probe is None else flat.T[probe]
     out = np.zeros(len(rows) - start, dtype=bool)
-    step = max(1, _COVER_CHUNK // max(1, len(rows) * keys.shape[1]))
+    step = max(1, _COVER_CHUNK // max(1, len(rows) * len(keys)))
     pairs = max(1, _COVER_CHUNK // max(1, size))
     for a in range(start, len(rows), step):
-        # row a + i against the rows before it
-        hit = (keys[None, : a + step] <= keys[a : a + step, None]).all(axis=2)
-        hit &= np.tri(*hit.shape, a - 1, dtype=bool)
+        # row a + i against every row but itself, which the full test refuses too
+        hit = np.logical_and.reduce(keys[:, None, :] <= keys[:, a : a + step, None], axis=0)
+        hit.reshape(-1)[a :: len(rows) + 1] = False
         i, j = hit.nonzero()
         for p in range(0, len(i), pairs):
-            ii, jj = i[p : p + pairs], j[p : p + pairs]
-            out[a - start + ii[(flat[jj] <= flat[a + ii]).all(axis=1)]] = True
+            ii, jj = a + i[p : p + pairs], j[p : p + pairs]
+            w, c = flat[ii], flat[jj]
+            cover = (c <= w).all(axis=1) & ((jj < ii) | (c < w).any(axis=1))
+            out[ii[cover] - start] = True
     return out
 
 

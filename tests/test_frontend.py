@@ -697,6 +697,10 @@ def test_a_wide_qbf_parses_translates_and_prints(op):
     text = "E x : " + f" {op} ".join(["x"] * 3000)
     q = parse_qbf(text)
     assert serialize_qbf(q) == text
+    again = parse_qbf(text)
+    assert again is not q and again == q and hash(again) == hash(q)
+    assert again.matrix == q.matrix and hash(again.matrix) == hash(q.matrix)
+    assert q != parse_qbf(text.rsplit(f" {op} ", 1)[0])
     g, v0, f = qbf_to_gcs(q)
     assert logic.check(g, v0, f) == qbf_eval(q) is True
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 from gapmc import logic
 from gapmc.gcs import validate
@@ -13,6 +14,7 @@ from gapmc.reductions import (
     BVar,
     BooleanProgram,
     Qbf,
+    _dnf,
     _guard_disjuncts,
     program_step,
     qbf_to_boolean_program,
@@ -154,6 +156,46 @@ def test_guard_disjuncts_truth_tables():
 
 def test_guard_disjuncts_none_is_single_empty():
     assert _guard_disjuncts(None) == [{}]
+
+
+def _pairwise_absorption(guard):
+    """The guard's disjuncts by the pairwise loop that the subset tests
+    replaced, kept as their reference: each DNF disjunct is dropped if it
+    implies a kept one, and drops the kept ones it is implied by."""
+    kept = []
+    for d in _dnf(guard):
+        if any(all(d.get(x, None) == v for x, v in o.items()) for o in kept):
+            continue
+        kept = [o for o in kept if not all(o.get(x, None) == v for x, v in d.items())]
+        kept.append(d)
+    return sorted(kept, key=lambda d: sorted(d.items()))
+
+
+def test_guard_disjuncts_match_the_pairwise_absorption():
+    rng = random.Random(64)
+    sizes = set()
+    for _ in range(400):
+        names = ["x", "y", "z", "w"][: rng.randint(1, 4)]
+        e = random_bool_expr(rng, names, rng.randint(1, 5))
+        got = _guard_disjuncts(e)
+        assert got == _pairwise_absorption(e)
+        sizes.add(min(len(got), 4))
+    assert sizes == {0, 1, 2, 3, 4}
+
+
+def test_guard_disjuncts_of_a_wide_matrix_finish_fast():
+    # seven clauses of three distinct variables each: 3^7 disjuncts, none
+    # absorbing another; the pairwise loop took seconds on them
+    clauses = [BOr(BOr(BVar(f"x{i}a"), BVar(f"x{i}b")), BVar(f"x{i}c")) for i in range(7)]
+    matrix = clauses[0]
+    for c in clauses[1:]:
+        matrix = BAnd(matrix, c)
+    start = time.perf_counter()
+    disjuncts = _guard_disjuncts(matrix)
+    assert time.perf_counter() - start < 2.0
+    assert len(disjuncts) == 3**7 and all(len(d) == 7 for d in disjuncts)
+    # one clause a subset of another's literals: the longer one is absorbed
+    assert _guard_disjuncts(BAnd(BOr(BVar("x"), BVar("y")), BVar("x"))) == [{"x": 1}]
 
 
 # -- gcs level ----------------------------------------------------------------------------

@@ -619,13 +619,16 @@ def test_reaches_agrees_with_pre_star(countdown):
 
 
 def _one_at_a_time_pool(gcs, s, guard, actions, metrics, max_pool, stop_at, seen):
-    """The pre_star pool explored one member at a time, each composition
-    result tested against the pool as it stands and counted as it comes: the
-    loop that frontier batching replaced, kept as its reference.  Returns the
-    pool stack, entered into the engine layout as pre_star's is, True on an
-    early-stop hit, or raises PoolLimitExceeded; counts in seen the results
-    that only a row of their own layer covers.  The pool is kept in the full
-    layout, which s leaves first."""
+    """The pre_star pool explored one member at a time under the antichain
+    rule: a layer's results are composed one member at a time, then taken
+    in (member, rule) order, each counted as it comes and dropped if a row
+    covers it by the pairwise definition: a pool row of an earlier layer,
+    an earlier result of its own layer, or a later one that differs from
+    it.  The reference of the batched loop.  Returns the pool stack,
+    entered into the engine layout as pre_star's is, True on an early-stop
+    hit, or raises PoolLimitExceeded; counts in seen the results that only
+    a row of their own layer covers, and those only a later one covers.
+    The pool is kept in the full layout, which s leaves first."""
     metrics.dimension = len(s.u.nodes) ** 2
     metrics.constants_magnitude = max((abs(c) for c in s.consts), default=0)
     metrics.constraint_count = len(gcs.rules)
@@ -634,22 +637,29 @@ def _one_at_a_time_pool(gcs, s, guard, actions, metrics, max_pool, stop_at, seen
     diff = None if stop_at is None else differences(s.u.nodes, stop_at)
     if diff is not None and any((diff >= w).all() for w in start):
         return True
-    pool, head, layer_end = list(start), 0, len(start)
+    pool, head = list(start), 0
     while head < len(pool) and len(rules):
-        if head == layer_end:
-            layer_end = len(pool)
-        head += 1
-        for pw in compose_batch(rules, s.u.enter(pool[head - 1])[None]):
+        results = []
+        for w in pool[head:]:
+            for pw in compose_batch(rules, s.u.enter(w)[None]):
+                results.append(None if pw is None else s.u.leave(pw[None])[0])
+        layer_start = head = len(pool)
+        layer = [pw for pw in results if pw is not None]
+        t = -1
+        for pw in results:
             metrics.graphs_created += 1
             if pw is None:
                 continue
-            pw = s.u.leave(pw[None])[0]
+            t += 1
             degree, norm = degree_norm(pw[None], s.u)
             metrics.max_norm = max(metrics.max_norm, int(norm[0]))
             metrics.degree_bound = max(metrics.degree_bound, int(degree[0]))
-            covered = [i for i, p in enumerate(pool) if (p <= pw).all()]
+            earlier = pool[:layer_start] + layer[:t]
+            later = [q for q in layer[t + 1 :] if (q != pw).any()]
+            covered = [i for i, p in enumerate(earlier + later) if (p <= pw).all()]
             if covered:
-                seen["covered in layer"] += covered[0] >= layer_end
+                seen["covered in layer"] += covered[0] >= layer_start
+                seen["covered by a later row"] += covered[0] >= len(earlier)
                 continue
             if diff is not None and (diff >= pw).all():
                 return True
@@ -679,6 +689,44 @@ def _without_constants(g):
     return Gcs(g.vars, (), g.acts, rules)
 
 
+def _random_query(rng, plain):
+    """A random window system, without its constants if plain and it has
+    two or more variables, with a guard, an action filter and a start set."""
+    g = oracle.random_window_closed_gcs(rng)
+    if plain and len(g.vars) > 1:
+        g = _without_constants(g)
+    terms = list(g.vars) + [v + "'" for v in g.vars] + list(g.consts)
+    guard = tuple(
+        Clause(*rng.sample(terms, 2), rng.randint(0, 1)) for _ in range(rng.randint(0, 1))
+    )
+    actions = None if rng.random() < 0.5 else tuple(rng.sample(g.acts, 1))
+    graphs = [
+        random_plain_mg(rng, g.vars, g.consts, 3, -2, 4) for _ in range(rng.randint(1, 3))
+    ]
+    return g, guard, actions, make_set(g.vars, g.consts, graphs)
+
+
+def _random_qbf_query(rng):
+    """The system of the QBF reduction and its target set, for a random
+    QBF over x1..x3 whose matrix has one to three clauses."""
+    names = ["x1", "x2", "x3"]
+    matrix = None
+    for _ in range(rng.randint(1, 3)):
+        clause = None
+        for x in rng.sample(names, rng.randint(1, 3)):
+            lit = BVar(x) if rng.random() < 0.5 else BNot(BVar(x))
+            clause = lit if clause is None else BOr(clause, lit)
+        matrix = clause if matrix is None else BAnd(matrix, clause)
+    g, _, f = qbf_to_gcs(Qbf(tuple((rng.choice("AE"), x) for x in names), matrix))
+    return g, logic.denote(g, f.f).set
+
+
+def _random_stop(rng, g, s):
+    """An early-stop valuation or None, and a pool cap or None."""
+    stop_at = None if rng.random() < 0.6 else {x: rng.randint(-1, 5) for x in g.vars}
+    return stop_at, None if rng.random() < 0.5 else len(s.w) + rng.randint(-1, 1)
+
+
 @pytest.mark.parametrize("cover_chunk", [None, 7], ids=["one-chunk", "small-chunks"])
 def test_pre_star_pool_matches_one_at_a_time(cover_chunk, monkeypatch):
     # pool rows, verdict or cap, and every Metrics field, over random systems
@@ -688,23 +736,11 @@ def test_pre_star_pool_matches_one_at_a_time(cover_chunk, monkeypatch):
         monkeypatch.setattr(sets, "_COVER_CHUNK", cover_chunk)
     rng = random.Random(38)
     seen = dict.fromkeys(("no constants", "hit", "cap", "cap mid-member", "pool"), 0)
-    seen["covered in layer"] = 0
+    seen["covered in layer"] = seen["covered by a later row"] = 0
     for i in range(500):
-        g = oracle.random_window_closed_gcs(rng)
-        if i % 3 == 0 and len(g.vars) > 1:
-            g = _without_constants(g)
-            seen["no constants"] += 1
-        terms = list(g.vars) + [v + "'" for v in g.vars] + list(g.consts)
-        guard = tuple(
-            Clause(*rng.sample(terms, 2), rng.randint(0, 1)) for _ in range(rng.randint(0, 1))
-        )
-        actions = None if rng.random() < 0.5 else tuple(rng.sample(g.acts, 1))
-        graphs = [
-            random_plain_mg(rng, g.vars, g.consts, 3, -2, 4) for _ in range(rng.randint(1, 3))
-        ]
-        s = make_set(g.vars, g.consts, graphs)
-        stop_at = None if rng.random() < 0.6 else {x: rng.randint(-1, 5) for x in g.vars}
-        max_pool = None if rng.random() < 0.5 else len(s.w) + rng.randint(-1, 1)
+        g, guard, actions, s = _random_query(rng, i % 3 == 0)
+        seen["no constants"] += not g.consts
+        stop_at, max_pool = _random_stop(rng, g, s)
         got = _explore(
             lambda m: sets._pre_star_pool(g, s, guard, actions, m, max_pool, None, stop_at)
         )
@@ -718,6 +754,94 @@ def test_pre_star_pool_matches_one_at_a_time(cover_chunk, monkeypatch):
         seen["cap"] += isinstance(out, str)
         seen["cap mid-member"] += isinstance(out, str) and metrics["graphs_created"] % r != 0
         seen["pool"] += isinstance(out, bytes)
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_each_layer_keeps_an_antichain_against_the_pool(monkeypatch):
+    # the frontier of each compose_batch call after the first is one
+    # layer's kept rows: no row of the pool before it covers one of them,
+    # no two of them cover each other, and the layers make up the pool
+    layers = []
+
+    def recording(rules, mws):
+        layers.append(mws.copy())
+        return compose_batch(rules, mws)
+
+    monkeypatch.setattr(sets, "compose_batch", recording)
+    rng = random.Random(49)
+    seen = dict.fromkeys(("layers", "rows beside another"), 0)
+    for i in range(300):
+        if i % 3 == 2:
+            (g, s), guard, actions = _random_qbf_query(rng), (), None
+        else:
+            g, guard, actions, s = _random_query(rng, i % 3 == 0)
+        layers.clear()
+        pool = sets._pre_star_pool(g, s, guard, actions, Metrics(), None, None)
+        if not layers:
+            assert pool.tobytes() == s.w.tobytes()
+            continue
+        assert layers[0].tobytes() == s.w.tobytes()
+        assert np.concatenate(layers).tobytes() == pool.tobytes()
+        for t in range(1, len(layers)):
+            before, layer = np.concatenate(layers[:t]), layers[t]
+            for a, w in enumerate(layer):
+                assert not (before <= w).all(axis=(1, 2)).any()
+                others = np.delete(layer, a, axis=0)
+                assert not (others <= w).all(axis=(1, 2)).any()
+                seen["rows beside another"] += len(others) > 0
+            seen["layers"] += 1
+    assert all(n >= 50 for n in seen.values()), seen
+
+
+def test_metrics_are_counted_once_per_query(monkeypatch):
+    # one Metrics.saw_batch call per query that composes, also when the cap raises
+    # PoolLimitExceeded or the valuation is met; its counts equal those of
+    # one call per layer, made with early reductions after every layer (a
+    # chunk of one element) and, for a query that reaches its fixpoint,
+    # from each layer's results as compose_batch returns them
+    calls, composed, per_layer = [], [], Metrics()
+    real = Metrics.saw_batch
+
+    def counting(self, pairs, ws, u):
+        calls.append(pairs)
+        real(self, pairs, ws, u)
+
+    def layered(rules, mws):
+        results = compose_batch(rules, mws)
+        composed.append(len(mws))
+        rows = [pw for pw in results if pw is not None]
+        u = universe(rules.u.vars, rules.u.consts)
+        real(per_layer, len(results), np.array(rows).reshape(len(rows), *mws.shape[1:]), u)
+        return results
+
+    monkeypatch.setattr(Metrics, "saw_batch", counting)
+    monkeypatch.setattr(sets, "compose_batch", layered)
+    rng = random.Random(50)
+    seen = dict.fromkeys(("hit", "cap", "pool", "several layers"), 0)
+    default = sets._COVER_CHUNK
+    for i in range(300):
+        g, guard, actions, s = _random_query(rng, i % 3 == 0)
+        stop_at, max_pool = _random_stop(rng, g, s)
+        outcomes = []
+        for chunk in (default, 1):
+            monkeypatch.setattr(sets, "_COVER_CHUNK", chunk)
+            calls.clear()
+            composed.clear()
+            per_layer.__init__()
+            outcomes.append(_explore(
+                lambda m: sets._pre_star_pool(g, s, guard, actions, m, max_pool, None, stop_at)
+            ) + (len(calls),))
+        (out, metrics, once), (out_layers, metrics_layers, layers) = outcomes
+        # a start set that meets the valuation composes nothing and counts nothing
+        assert once == 1 - (out is True and not composed)
+        assert (out, metrics) == (out_layers, metrics_layers)
+        if isinstance(out, bytes):
+            counted = ("graphs_created", "max_norm", "degree_bound")
+            assert [metrics[k] for k in counted] == [getattr(per_layer, k) for k in counted]
+        seen["hit"] += out is True
+        seen["cap"] += isinstance(out, str)
+        seen["pool"] += isinstance(out, bytes)
+        seen["several layers"] += layers > 2
     assert all(n >= 10 for n in seen.values()), seen
 
 
@@ -770,12 +894,13 @@ def test_pre_star_in_the_engine_layout_matches_the_per_rule_reference():
 
 @pytest.mark.parametrize("cover_chunk", [None, 7], ids=["one-chunk", "small-chunks"])
 def test_covered_matches_brute_force(cover_chunk, monkeypatch):
-    # the mask of rows[start:] covered by an earlier row, against the
-    # pairwise definition, with and without a screening probe
+    # the mask of rows[start:] covered by an earlier row or by a later one
+    # that differs, against the pairwise definition, with and without a
+    # screening probe
     if cover_chunk is not None:
         monkeypatch.setattr(sets, "_COVER_CHUNK", cover_chunk)
     rng = np.random.default_rng(39)
-    seen = dict.fromkeys(("covered", "kept", "repeat", "probe"), 0)
+    seen = dict.fromkeys(("covered", "kept", "repeat", "probe", "by a later row"), 0)
     for _ in range(150):
         m, n = int(rng.integers(1, 4)), int(rng.integers(0, 12))
         rows = rng.choice([NEG_INF, -1.0, 0.0, 1.0, 2.0], size=(n, m, m))
@@ -787,8 +912,15 @@ def test_covered_matches_brute_force(cover_chunk, monkeypatch):
         for start in sorted({0, n // 2, n}):
             for probe in probes:
                 got = sets._covered(rows, start, probe)
-                expect = [any((rows[j] <= rows[i]).all() for j in range(i)) for i in range(start, n)]
+                covers = [[(rows[j] <= rows[i]).all() for j in range(n)] for i in range(n)]
+                earlier = [any(covers[i][:i]) for i in range(start, n)]
+                later = [
+                    any(covers[i][j] and not covers[j][i] for j in range(i + 1, n))
+                    for i in range(start, n)
+                ]
+                expect = [a or b for a, b in zip(earlier, later)]
                 assert got.dtype == bool and got.tolist() == expect
+                seen["by a later row"] += sum(b and not a for a, b in zip(earlier, later))
                 seen["covered"] += sum(expect)
                 seen["kept"] += len(expect) - sum(expect)
                 seen["probe"] += probe is not None and len(expect) > 0
