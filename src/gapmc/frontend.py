@@ -16,6 +16,12 @@ Clauses are written ``a - b >= k`` with sugar ``a >= b``, ``a > b`` and
 ``false``, clauses, ``!``, ``&``, ``|``, ``<a>{...}``, ``EF[a,b]{...}``,
 ``AG``, ``[a]``, ``EG`` and ``E(f U g)``; ``{...}`` carries an optional
 transition guard.
+
+parse_gcs reads a system text without comments, whose header parses and
+whose rule bodies are ``&``-separated clause groups, with one pattern match
+per distinct group text (_parse_plain_gcs); only the header is lexed token
+by token.  Any other text, every malformed one included, goes whole to the
+token parser, which raises each ParseError with its line and column.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import json
 import re
 from functools import reduce
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -74,7 +80,9 @@ class ParseError(ValueError):
 # One lexeme, the alternatives tried in this order: whitespace or a comment,
 # a number, a name, an operator.  A token's kind is read back from its first
 # characters with the same classes (\s is str.isspace, \d str.isdecimal).
-_LEXEME = re.compile(r"\s+|#[^\n]*|-?\d+|[A-Za-z_][A-Za-z_0-9]*'?|->|>=|[=><{}()\[\]!&|,;:-]")
+_NUM = r"-?\d+"
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*'?"
+_LEXEME = re.compile(r"\s+|#[^\n]*|" + _NUM + "|" + _NAME + r"|->|>=|[=><{}()\[\]!&|,;:-]")
 
 
 class Token(NamedTuple):
@@ -170,29 +178,35 @@ class _Stream:
 # -- clauses -----------------------------------------------------------------
 
 
+def _term(t: str) -> Node:
+    return int(t) if _kind(t) == "num" else t
+
+
 def _parse_term(ts: _Stream) -> Node:
-    t = ts.take(("num", "name"), "a variable or constant")
-    return int(t) if ts.kind[t] == "num" else t
+    return _term(ts.take(("num", "name"), "a variable or constant"))
+
+
+# the gap clauses of a comparison: a >= b (k=0), a > b (k=1), a = b (both ways)
+_COMPARISONS = {
+    ">=": lambda a, b: (Clause(a, b, 0),),
+    ">": lambda a, b: (Clause(a, b, 1),),
+    "=": lambda a, b: (Clause(a, b, 0), Clause(b, a, 0)),
+}
 
 
 def _parse_clause_group(ts: _Stream) -> list[Clause]:
     """One comparison, expanded to gap clauses: ``a - b >= k`` verbatim,
-    ``a >= b`` (k=0), ``a > b`` (k=1), ``a = b`` (both directions)."""
+    ``a >= b``, ``a > b`` and ``a = b`` as _COMPARISONS has them."""
     left = _parse_term(ts)
     if ts.accept("-"):
         right = _parse_term(ts)
         ts.expect(">=")
         return [Clause(left, right, int(ts.take(("num",), "an integer offset")))]
     op = ts.peek()
-    if op not in (">=", ">", "="):
+    if op not in _COMPARISONS:
         ts.fail(f"expected a comparison, found {op!r}")
     ts.next()
-    right = _parse_term(ts)
-    if op == ">=":
-        return [Clause(left, right, 0)]
-    if op == ">":
-        return [Clause(left, right, 1)]
-    return [Clause(left, right, 0), Clause(right, left, 0)]
+    return list(_COMPARISONS[op](left, _parse_term(ts)))
 
 
 def _parse_clause_list(ts: _Stream) -> list[Clause]:
@@ -237,8 +251,8 @@ _HEADER = {
 }
 
 
-def parse_gcs(text: str) -> Gcs:
-    ts = _Stream(text)
+def _parse_header(ts: _Stream) -> dict[str, tuple]:
+    """The ``gcs { ... }`` header: each entry's values, by entry name."""
     ts.expect("gcs")
     ts.expect("{")
     header: dict[str, tuple] = {}
@@ -262,6 +276,27 @@ def parse_gcs(text: str) -> Gcs:
             values[value(t)] = None
         header[key] = tuple(values)
         ts.expect(";")
+    return header
+
+
+def _system(header: dict[str, tuple], rules: list[TransitionRule]) -> Gcs:
+    # without an acts entry, the actions are the rule labels in order of use
+    acts = header.get("acts", tuple(dict.fromkeys(r.label for r in rules)))
+    return Gcs(header.get("vars", ()), header.get("consts", ()), acts, tuple(rules))
+
+
+def parse_gcs(text: str) -> Gcs:
+    """The system of a text in the format of the module docstring.  A text
+    without comments whose rule bodies are all clause groups is read by
+    _parse_plain_gcs; any other text, every malformed one included, goes
+    whole to the token parser, which raises every ParseError."""
+    g = _parse_plain_gcs(text)
+    return g if g is not None else _parse_gcs_tokens(text)
+
+
+def _parse_gcs_tokens(text: str) -> Gcs:
+    ts = _Stream(text)
+    header = _parse_header(ts)
     rules = []
     while ts.peek():
         ts.expect("rule")
@@ -275,9 +310,60 @@ def parse_gcs(text: str) -> Gcs:
         clauses = _parse_clause_list(ts)
         ts.expect(";")
         rules.append(TransitionRule(name, tuple(clauses), label))
-    # without an acts entry, the actions are the rule labels in order of use
-    acts = header.get("acts", tuple(dict.fromkeys(r.label for r in rules)))
-    return Gcs(header.get("vars", ()), header.get("consts", ()), acts, tuple(rules))
+    return _system(header, rules)
+
+
+# The clause-group reading of rule texts.  Its name and number sub-patterns
+# are those of _LEXEME, and it takes only texts whose tokens it reads as the
+# lexer does: a minus before a digit starts a number, not a subtraction (and
+# "->" never matches, as no term starts with ">").  A group captures its left
+# side, then either the right side and offset of ``a - b >= k`` or a
+# comparison and its right side.
+_TERM = f"(?:{_NUM}|{_NAME})"
+_CLAUSE_GROUP = re.compile(
+    rf"\s*({_TERM})\s*(?:-(?!\d)\s*({_TERM})\s*>=\s*({_NUM})|(>=|>|=)\s*({_TERM}))\s*"
+)
+# a rule: its name, its optional label and its body up to the ";"
+_PLAIN_RULE = re.compile(rf"\s*rule\s+({_TERM})\s*(?:\[\s*({_TERM})\s*\])?\s*:([^;]*);")
+
+
+class _ClauseGroups(dict):
+    """Clause group text -> its clauses, each text parsed when first met.
+    A text that is not one whole clause group gets no clauses."""
+
+    def __missing__(self, text: str) -> tuple[Clause, ...]:
+        m = _CLAUSE_GROUP.fullmatch(text)
+        if m is None:
+            clauses = ()
+        elif m[4] is None:
+            clauses = (Clause(_term(m[1]), _term(m[2]), int(m[3])),)
+        else:
+            clauses = _COMPARISONS[m[4]](_term(m[1]), _term(m[5]))
+        self[text] = clauses
+        return clauses
+
+
+def _parse_plain_gcs(text: str) -> Optional[Gcs]:
+    """The system of a text without comments whose header, up to the first
+    "}" and lexed by _Stream, parses and is followed by whole _PLAIN_RULE
+    matches, each body a "&"-separated list of clause groups; None for any
+    other text.  Each distinct group text is matched once.  It never raises."""
+    pos = text.find("}") + 1  # the header's end: its only "}" is its last token
+    if not pos or "#" in text:
+        return None
+    try:
+        header = _parse_header(_Stream(text[:pos]))
+    except ParseError:
+        return None
+    groups, rules = _ClauseGroups(), []
+    while m := _PLAIN_RULE.match(text, pos):
+        name, label, body = m.groups()
+        clauses = tuple(chain.from_iterable(map(groups.__getitem__, body.split("&"))))
+        rules.append(TransitionRule(name, clauses, "act" if label is None else label))
+        pos = m.end()
+    if text[pos:].strip() or not all(groups.values()):
+        return None
+    return _system(header, rules)
 
 
 def serialize_gcs(g: Gcs) -> str:
@@ -581,9 +667,10 @@ def dump_set(s: SymbolicSet) -> str:
 def _dump(ws: np.ndarray, u: Universe) -> str:
     """The JSON text, indented by 2, of one graph per matrix of the stack ws
     over the universe u, with the entries above the universe's floor as its
-    edges (Universe.floor).  It is written straight from the stack: the node
-    list, the head of every (from, to) edge and the tail of every distinct
-    weight are built once; one array sum joins heads to tails."""
+    edges (Universe.floor).  It is written straight from the stack in one
+    join: the node list, the head of every (from, to) edge and the tail of
+    every distinct weight, once as a member's last edge and once not, are
+    built once; every edge's text is its head, then its tail."""
     if not len(ws):
         return "[]"
     lits = [json.dumps(x) for x in u.nodes]
@@ -596,18 +683,29 @@ def _dump(ws: np.ndarray, u: Universe) -> str:
     keep = ws > u.floor
     _, pair = np.nonzero(keep.reshape(len(ws), -1))
     weights, which = np.unique(ws[keep], return_inverse=True)
-    tails = np.array([('"+inf"' if x == POS_INF else str(int(x))) + "\n      }"
-                      for x in weights.tolist()], dtype=object)
-    edges = (heads[pair] + tails[which]).tolist()
-    members, start = [], 0
-    for stop in np.cumsum(keep.sum(axis=(1, 2))).tolist():
+    tails = np.array([
+        [t + ",\n", t + "\n    ]\n  }"]
+        for t in (('"+inf"' if x == POS_INF else str(int(x))) + "\n      }" for x in weights.tolist())
+    ], dtype=object).reshape(-1, 2)
+    counts = keep.sum(axis=(1, 2))
+    stops = np.cumsum(counts)
+    last = np.zeros(len(pair), dtype=np.intp)
+    last[stops[counts > 0] - 1] = 1
+    cells = np.empty((len(pair), 2), dtype=object)
+    cells[:, 0], cells[:, 1] = heads[pair], tails[which, last]
+    cells = cells.ravel().tolist()
+    member = "  {\n    " + node_list + ',\n    "edges": '
+    parts, start = ["[\n"], 0
+    for stop in stops.tolist():
         if stop == start:
-            edge_list = '"edges": []'
+            parts.append(member + "[]\n  }")
         else:
-            edge_list = '"edges": [\n' + ",\n".join(edges[start:stop]) + "\n    ]"
-        members.append("  {\n    " + node_list + ",\n    " + edge_list + "\n  }")
+            parts.append(member + "[\n")
+            parts += cells[2 * start:2 * stop]
+        parts.append(",\n")
         start = stop
-    return "[\n" + ",\n".join(members) + "\n]"
+    parts[-1] = "\n]"
+    return "".join(parts)
 
 
 # -- QBF text ------------------------------------------------------------------

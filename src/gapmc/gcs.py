@@ -54,10 +54,13 @@ def validate(g: Gcs) -> list[str]:
     symbols = set(g.vars) | {prime(x) for x in g.vars} | set(g.consts)
     for rule in g.rules:
         found = [] if rule.label in g.acts else [f"label {rule.label!r} is not a declared action"]
-        for c in rule.clauses:
-            if not c.is_positive():
+        for c in dict.fromkeys(rule.clauses):  # a repeated clause finds nothing new
+            if c.k < 0:
                 found.append(f"clause {c.left}-{c.right}>={c.k} is not positive")
-            found += [f"unknown symbol {e!r}" for e in (c.left, c.right) if e not in symbols]
+            if c.left not in symbols:
+                found.append(f"unknown symbol {c.left!r}")
+            if c.right not in symbols:
+                found.append(f"unknown symbol {c.right!r}")
         diags += [f"rule {rule.name}: {d}" for d in dict.fromkeys(found)]
     return diags
 

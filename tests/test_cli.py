@@ -15,8 +15,18 @@ import pytest
 import gapmc
 from gapmc import oracle
 from gapmc.cli import main
-from gapmc.frontend import parse_qbf, serialize_formula, serialize_gcs, serialize_valuation
+from gapmc.frontend import (
+    ParseError,
+    _parse_gcs_tokens,
+    _parse_plain_gcs,
+    parse_gcs,
+    parse_qbf,
+    serialize_formula,
+    serialize_gcs,
+    serialize_valuation,
+)
 from gapmc.logic import Ef
+from gapmc.reductions import qbf_to_gcs
 
 COUNTDOWN = """
 gcs {
@@ -374,6 +384,44 @@ def test_denote_output_matches_golden_files(system_file, tmp_path, capsys):
     target = (out / "target.ef").read_text().strip()
     assert main(["denote", str(out / "instance.gcs"), target]) == 0
     assert capsys.readouterr().out == (DATA / "denote_qbf_readme.json").read_text()
+
+
+def test_denote_prints_the_same_for_a_commented_text_and_its_canonical_form(tmp_path, capsys):
+    # the token parser reads the commented, oddly spaced text and the
+    # clause-group reading its serialize_gcs form
+    messy = tmp_path / "messy.gcs"
+    messy.write_text(
+        "# the countdown of the fixture, spaced oddly\n"
+        "gcs{vars:x ,y;\tconsts :0;}\n"
+        "rule CX[a]:x>x'&\n   x'>=0 # x stays natural\n & y=y' ;\n"
+        "rule CY [ b ] :  y - y' >= 1&x'>=x&y'>= 0;"
+    )
+    canonical = tmp_path / "canonical.gcs"
+    canonical.write_text(serialize_gcs(parse_gcs(messy.read_text())))
+    assert _parse_plain_gcs(messy.read_text()) is None
+    assert _parse_plain_gcs(canonical.read_text()) == parse_gcs(COUNTDOWN)
+    for formula in ("x = 0 & y = 0", "EF (x = 0 & y = 0)", "<b> true"):
+        outs = []
+        for path in (messy, canonical):
+            code = main(["denote", str(path), formula])
+            outs.append((code, *capsys.readouterr()))
+        assert outs[0] == outs[1] and outs[0][0] == 0 and outs[0][1].startswith("[")
+
+
+def test_a_bad_clause_in_the_last_rule_of_a_long_file_is_reported_where_it_is(tmp_path, capsys):
+    g, _, f = qbf_to_gcs(parse_qbf("A x1 E x2 A x3 E x4 : (x1 | !x2 | x3) & (!x1 | x4) & (x2 | !x4)"))
+    lines = serialize_gcs(g).splitlines()
+    cut = lines[-1].rindex(" - ")
+    lines[-1] = lines[-1][:cut] + " -5 >= 0;"  # "-5" is a number: no comparison follows 10
+    path = tmp_path / "instance.gcs"
+    path.write_text("\n".join(lines) + "\n")
+    where = f"line {len(lines)}, column {cut + 2}"
+    with pytest.raises(ParseError) as e:
+        _parse_gcs_tokens(path.read_text())
+    assert str(e.value) == f"expected a comparison, found '-5' at {where}"
+    assert len(lines) > 10 and _parse_plain_gcs(path.read_text()) is None
+    assert main(["denote", str(path), serialize_formula(f)]) == 2
+    assert capsys.readouterr().err == f"error: {e.value}\n"
 
 
 @pytest.mark.parametrize("argv, message", [

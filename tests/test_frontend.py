@@ -1,8 +1,10 @@
 """Text and JSON formats: parsers, serializers and round trips."""
 
+import ast
 import json
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from gapmc.frontend import (
     set_to_json,
     tokenize,
 )
-from gapmc import logic
+from gapmc import frontend, logic
 from gapmc.logic import AndF, Atom, Diamond, Ef, Eg, Eu, NotF, OrF, TrueF, or_all
 from gapmc.mg import (
     NEG_INF,
@@ -275,6 +277,111 @@ def test_repeats_are_refused_at_the_repeated_token(parse, text, at):
     with pytest.raises(ParseError, match="repeated|assigned twice") as e:
         parse(text)
     assert (e.value.line, e.value.col) == at
+
+
+# -- the clause-group reading of system texts ---------------------------------------------
+
+# whitespace that \s and str.isspace take, the empty spacing included
+_SPACES = ["", " ", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000"]
+# clause groups and near misses: a minus before a digit belongs to the
+# number, "->" is one token, a name takes one apostrophe, \d takes any
+# decimal digit
+_NEAR_MISSES = [
+    "x-5 >= 0", "x -5 >= 0", "x--5 >= 0", "x - -5 >= 0", "x->y", "x - >y >= 0", "x>=-3",
+    "x >=- 3", "x>=-\u0663", "5x >= y", "x'' >= y", "x' >= y''", "x - y > 3", "x - y >= z",
+    "x = = y", "x == y", "x >", "x - y >= 3 4", "-x >= y", "x >= y'x", "x\u00b2 >= y", "",
+    "x - y >= 3 & ", "& x >= y", "x >= y && y >= x", "x >= y | y >= x", "x >= y # note",
+]
+_TERMS = ["x", "y'", "x1", "_a", "0", "12", "-3", "\u0663", "\u0661\u0662"]
+_NAMES = ["R", "r1", "5", "-3", "y'", "rule", "\u0663"]
+_HEADERS = ["gcs {\n  vars: x, y;\n  consts: 0, 5;\n}\n", "gcs{vars:x,y;consts:-3;acts:a,5;}",
+            "gcs { vars : x ;\n}", "gcs { consts: \u0663; }"]
+_BAD_HEADERS = ["gcs { vars: x; # the variables\n}\n", "gcs { vars: x, }\n", "gcs { vars: x; ",
+                "gcs { acts: a; } }", "gcs { vars: x } rule"]
+
+
+def _spaced(rng, tokens):
+    """tokens joined by random whitespace, at times none."""
+    return "".join(t + rng.choice(_SPACES) for t in tokens)
+
+
+def _clause_group_text(rng, near_misses):
+    if rng.random() < near_misses:
+        return rng.choice(_NEAR_MISSES)
+    a, b = rng.choice(_TERMS), rng.choice(_TERMS)
+    if rng.random() < 0.5:
+        return _spaced(rng, [a, "-", b, ">=", rng.choice(["0", "3", "-2", "\u0664"])])
+    return _spaced(rng, [a, rng.choice([">=", ">", "="]), b])
+
+
+def _system_text(rng):
+    """A system text near the clause-group reading's edge: random spacing,
+    numeric rule names and labels, clause groups whose tokens touch, and in
+    half the texts, near misses, odd names, empty bodies, comments, bad
+    headers and trailing input."""
+    odd = rng.random() < 0.5
+    header = rng.choice(_HEADERS + _BAD_HEADERS * odd)
+    names = _NAMES + ["[", "->", "", "x#"] * odd
+    rules = []
+    for _ in range(rng.randint(0, 3)):
+        groups = [_clause_group_text(rng, 0.2 * odd) for _ in range(rng.randint(1, 3))]
+        if odd and rng.random() < 0.1:
+            groups = []  # an empty body
+        name = "rule" + rng.choice([" ", "\n", "\u00a0", ""] if odd else [" ", "\n", "\u00a0"])
+        name += _spaced(rng, [rng.choice(names)])
+        label = _spaced(rng, ["[", rng.choice(names), "]"]) if rng.random() < 0.7 else ""
+        rules.append(name + label + ":" + rng.choice(_SPACES) + "&".join(groups) + ";"
+                     + rng.choice(_SPACES))
+    tail = rng.choice(["", "\n"] + ["x", "@", ";", "rule", "}", "\u00b2", " # end\n"] * odd)
+    return header + rng.choice(_SPACES) + "".join(rules) + tail
+
+
+def test_plain_systems_parse_as_the_token_parser_reads_them():
+    rng = random.Random(230)
+    texts = [_system_text(rng) for _ in range(3000)]
+    texts += [serialize_gcs(random_window_closed_gcs(rng)) for _ in range(200)]
+    plain = 0
+    for text in texts:
+        g = frontend._parse_plain_gcs(text)  # never raises
+        want = _outcome(frontend._parse_gcs_tokens, text)
+        assert _outcome(parse_gcs, text) == want, text
+        if g is not None:
+            assert ("ok", g) == want and "#" not in text, text
+            plain += 1
+    # texts of both readings, accepted and refused ones among the others
+    refused = sum(_outcome(parse_gcs, t)[0] == "error" for t in texts)
+    assert 500 < plain < len(texts) - 500 and refused > 500, (plain, refused)
+
+
+def test_a_gen_qbf_instance_lexes_only_its_header(monkeypatch):
+    g, _, _ = qbf_to_gcs(parse_qbf("A x1 E x2 A x3 E x4 : (x1 | !x2 | x3) & (!x1 | x4) & (x2 | !x4)"))
+    text = serialize_gcs(g)
+    assert len(g.rules) > 10 and parse_gcs(text) == frontend._parse_gcs_tokens(text) == g
+    containers = {name: len(v) for name, v in vars(frontend).items() if isinstance(v, (dict, list, set))}
+    lexed = []
+
+    class Counting(frontend._Stream):
+        def __init__(self, t):
+            lexed.append(t)
+            super().__init__(t)
+
+    monkeypatch.setattr(frontend, "_Stream", Counting)
+    for _ in range(3):
+        assert parse_gcs(text) == g
+    assert lexed == [text[:text.index("}") + 1]] * 3
+    # nothing of a parse is kept between calls: no module-level container
+    # grows, and the module binds no global beyond these
+    assert {name: len(v) for name, v in vars(frontend).items()
+            if isinstance(v, (dict, list, set))} == containers
+    tree = ast.parse(Path(frontend.__file__).read_text())
+    assert not any(isinstance(node, (ast.Global, ast.Nonlocal)) for node in ast.walk(tree))
+    bound = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])}
+    assert bound == {
+        "_NUM", "_NAME", "_LEXEME", "_COMPARISONS", "_HEADER", "_TERM", "_CLAUSE_GROUP",
+        "_PLAIN_RULE", "_PATH_OPERATORS", "_parse_and", "_parse_or",
+        "_FORMULA_PARTS", "_LTS_LINE", "_parse_bool_and", "_parse_bool_or", "_QBF_PARTS",
+    }
 
 
 # -- formulas ----------------------------------------------------------------------------

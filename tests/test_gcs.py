@@ -43,6 +43,37 @@ def test_validate_reports_each_diagnostic_once_per_rule():
     ]
 
 
+def _reference_validate(g):
+    # every clause of every rule checked in turn, repeats included
+    diags = []
+    symbols = set(g.vars) | {x + "'" for x in g.vars} | set(g.consts)
+    for rule in g.rules:
+        found = [] if rule.label in g.acts else [f"label {rule.label!r} is not a declared action"]
+        for c in rule.clauses:
+            if not c.is_positive():
+                found.append(f"clause {c.left}-{c.right}>={c.k} is not positive")
+            found += [f"unknown symbol {e!r}" for e in (c.left, c.right) if e not in symbols]
+        diags += [f"rule {rule.name}: {d}" for d in dict.fromkeys(found)]
+    return diags
+
+
+def test_validate_matches_the_clause_by_clause_reference():
+    rng = random.Random(23)
+    nodes = ["x", "y", "x'", "y'", "z", "z'", 0, 1, 5, -2]
+    seen = set()
+    for _ in range(300):
+        rules = []
+        for i in range(rng.randint(0, 4)):
+            pool = [Clause(rng.choice(nodes), rng.choice(nodes), rng.randint(-2, 2)) for _ in range(3)]
+            clauses = tuple(rng.choice(pool) for _ in range(rng.randint(0, 6)))  # with repeats
+            rules.append(TransitionRule(f"r{i}", clauses, rng.choice("abc")))
+        g = Gcs(("x", "y"), (0, 1), ("a", "b"), tuple(rules))
+        diags = validate(g)
+        assert diags == _reference_validate(g)
+        seen.update(d.split(": ", 1)[1].split(" ")[0] for d in diags)
+    assert seen == {"label", "clause", "unknown"}
+
+
 # -- step --------------------------------------------------------------------
 
 

@@ -142,15 +142,24 @@ def _frontend_and_cli():
 
 
 def test_the_frontend_compiles_one_lexeme_pattern():
-    # every text parser reads the tokens of one findall pass; the line-based
-    # LTS format keeps its own line pattern, and no parser compiles another
+    # every token parser reads the tokens of one findall pass; the line-based
+    # LTS format keeps its own line pattern, and the clause-group reading of
+    # system texts has its group and rule patterns, spelled with the name and
+    # number sub-patterns of the lexeme pattern; no parser compiles another
     frontend, _ = _frontend_and_cli()
     calls = [node for node in ast.walk(frontend) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute) and getattr(node.func.value, "id", None) == "re"]
-    assert [node.func.attr for node in calls] == ["compile", "compile"]
-    compiled = [top.targets[0].id for top in frontend.body
-                if isinstance(top, ast.Assign) and top.value in calls]
-    assert compiled == ["_LEXEME", "_LTS_LINE"]
+    assert [node.func.attr for node in calls] == ["compile"] * 4
+    compiled = {top.targets[0].id: top.value for top in frontend.body
+                if isinstance(top, ast.Assign) and top.value in calls}
+    assert list(compiled) == ["_LEXEME", "_CLAUSE_GROUP", "_PLAIN_RULE", "_LTS_LINE"]
+    term = next(top.value for top in frontend.body
+                if isinstance(top, ast.Assign) and top.targets[0].id == "_TERM")
+    for name in ("_LEXEME", "_CLAUSE_GROUP", "_PLAIN_RULE"):
+        spelled = {n.id for n in ast.walk(compiled[name]) if isinstance(n, ast.Name)}
+        if "_TERM" in spelled:
+            spelled |= {n.id for n in ast.walk(term) if isinstance(n, ast.Name)}
+        assert {"_NUM", "_NAME"} <= spelled, name
 
 
 def test_cli_main_does_not_build_a_parser():
