@@ -64,13 +64,9 @@ def weak_closure(l: FiniteLts, tau: str = "tau") -> FiniteLts:
 @dataclass(frozen=True)
 class Partition:
     classes: dict[str, int]
-    level: int
 
     def same_class(self, s: str, t: str) -> bool:
         return self.classes[s] == self.classes[t]
-
-    def __hash__(self):
-        return hash((tuple(sorted(self.classes.items())), self.level))
 
 
 def refine_levels(l: FiniteLts) -> list[Partition]:
@@ -78,7 +74,7 @@ def refine_levels(l: FiniteLts) -> list[Partition]:
     single-class partition, each next level splits by one-step signatures.
     The last entry is the stable fixpoint (maximal bisimulation)."""
     classes = {s: 0 for s in l.states}
-    levels = [Partition(dict(classes), 0)]
+    levels = [Partition(dict(classes))]
     while True:
         sigs = {}
         for s in l.states:
@@ -90,7 +86,7 @@ def refine_levels(l: FiniteLts) -> list[Partition]:
         new = {}
         for s in l.states:
             new[s] = ordering.setdefault(sigs[s], len(ordering))
-        levels.append(Partition(new, len(levels)))
+        levels.append(Partition(new))
         if len(set(new.values())) == len(set(classes.values())):
             return levels
         classes = new
@@ -124,7 +120,7 @@ def _hm_class_formulas(
     chain of the given (already saturated, in weak mode) relation."""
     levels = refine_levels(relation)
     while len(levels) <= depth:
-        levels.append(Partition(levels[-1].classes, len(levels)))
+        levels.append(levels[-1])
     by_level: list[dict[int, Formula]] = [
         {c: TrueF() for c in set(levels[0].classes.values())}
     ]

@@ -226,10 +226,6 @@ def parse_clauses(text: str) -> tuple[Clause, ...]:
     return tuple(clauses)
 
 
-def serialize_clause(c: Clause) -> str:
-    return f"{c.left} - {c.right} >= {c.k}"
-
-
 # -- systems -----------------------------------------------------------------
 
 
@@ -378,7 +374,7 @@ def serialize_gcs(g: Gcs) -> str:
     lines += [f"  {key}: {', '.join(map(str, values))};" for key, values in entries if values]
     lines.append("}")
     for r in g.rules:
-        body = " & ".join(serialize_clause(c) for c in r.clauses)
+        body = " & ".join(map(str, r.clauses))
         lines.append(f"rule {r.name} [{r.label}]: {body};")
     return "\n".join(lines) + "\n"
 
@@ -504,7 +500,7 @@ def _render(root, parts) -> str:
 def _head(op: str, f) -> str:
     """A modality's text before its operand: op, the action list and the guard."""
     actions = "" if getattr(f, "actions", None) is None else "[" + ",".join(f.actions) + "]"
-    guard = "{" + " & ".join(map(serialize_clause, f.guard)) + "}" if f.guard else ""
+    guard = "{" + " & ".join(map(str, f.guard)) + "}" if f.guard else ""
     return f"{op}{actions}{guard} "
 
 
@@ -512,7 +508,7 @@ def _head(op: str, f) -> str:
 # & and | asks one level more, so the left-associative parse rebuilds the tree
 _FORMULA_PARTS = {
     TrueF: lambda f: (3, ("true",)),
-    Atom: lambda f: (3, ("(" + serialize_clause(f.clause) + ")",)),
+    Atom: lambda f: (3, (f"({f.clause})",)),
     NotF: lambda f: (3, ("!", (f.f, 2))),
     Eu: lambda f: (3, ("E(", (f.left, 0), " U ", (f.right, 0), ")")),
     Diamond: lambda f: (1, (_head(f"<{f.action}>", f), (f.f, 2))),

@@ -226,10 +226,10 @@ def close_seeded(ws: np.ndarray, seed: np.ndarray) -> np.ndarray:
     """Seed the constant edges seed (a universe's seed, or its eseed in the
     engine layout) into a writable stack of weight matrices, close the stack
     in place over every pivot and return the mask of matrices with no
-    positive cycle on the diagonal (a +inf input entry is not caught)."""
+    positive cycle on the diagonal.  A +inf entry is neither caught nor
+    silenced (with -inf it sums to NaN): only closure() has one."""
     np.maximum(ws, seed, out=ws)
-    with np.errstate(invalid="ignore"):
-        _close_stack(ws, range(ws.shape[-1]))
+    _close_stack(ws, range(ws.shape[-1]))
     return (ws.diagonal(0, 1, 2) <= 0).all(axis=1)
 
 
@@ -304,7 +304,9 @@ class MonotonicityGraph:
         if self.closed:
             return self
         w = np.array(self.w)
-        if not close_seeded(w[None], self.u.seed)[0]:
+        with np.errstate(invalid="ignore"):  # a +inf weight meets -inf: NaN
+            sat = close_seeded(w[None], self.u.seed)[0]
+        if not sat:
             pos = np.diagonal(w) > 0
             to_cyc = w[:, pos] > NEG_INF
             from_cyc = w[pos, :] > NEG_INF

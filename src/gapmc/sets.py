@@ -3,11 +3,11 @@
 A SymbolicSet holds its members as one (m, e, e) weight stack in the engine
 layout of a fixed (Var, Const) universe (mg.Universe), which the engine reads
 and returns as it is.  Invariant: each row is closed and satisfiable, no row
-covers another (an antichain under ⊑), and the rows are sorted by their
-bytes; _normalise establishes it for every operation.  A full-layout row is
-the engine row with later shifts of its entries, so order, repeats and
-covering are the full layout's.  No rows denote the empty set; one row
-without constraints, all valuations.
+covers another (an antichain under ⊑) and the rows are sorted by bytes;
+_normalise establishes it for every operation, by _covered, the one covering
+test.  A full-layout row is the engine row with later shifts of its entries,
+so order, repeats and covering are the full layout's.  No rows denote the
+empty set; one row without constraints, all valuations.
 
 Backward reachability (pre_star, reaches) explores its pool breadth first,
 one layer at a time: the rows added by the previous layer are composed with
@@ -118,15 +118,13 @@ class SymbolicSet:
 def _normalise(u: Universe, ws, close: bool = True) -> SymbolicSet:
     """The set of the (m, e, e) engine-layout weight stack ws over u: with
     close set its rows are closed first and unsatisfiable ones dropped,
-    otherwise they must be closed and satisfiable already; then duplicate
-    and covered rows go."""
+    otherwise they must be closed and satisfiable already; then the rows are
+    sorted by bytes, and repeats and the rows that _covered masks go."""
     if close:
         ws = ws[close_seeded(ws, u.eseed)]
     rows = sorted({w.tobytes(): i for i, w in enumerate(ws)}.items())
     ws = ws[[i for _, i in rows]]
-    # p ⊑ w (Sat(p) ⊇ Sat(w)) iff p <= w; keep rows covered only by themselves
-    keep = [np.count_nonzero((ws <= w).all(axis=(1, 2))) == 1 for w in ws]
-    return SymbolicSet(u.vars, u.consts, ws[np.array(keep, dtype=bool)])
+    return SymbolicSet(u.vars, u.consts, ws[~_covered(ws, 0, None)])
 
 
 def make_set(
@@ -377,13 +375,13 @@ _COVER_CHUNK = 1 << 18
 
 def _covered(rows: np.ndarray, start: int, probe: Optional[np.ndarray]) -> np.ndarray:
     """The mask of the rows of rows[start:] that another row of rows covers
-    (p ⊑ w iff p <= w entrywise): an earlier row, or a later one that
-    differs, so of equal rows the first is kept.  Pairs are screened on the
-    flat entries probe (all entries if None), held probe-major so that the
-    screen reduces over its long axes, and compared in full only where the
-    screen passes, in chunks of at most _COVER_CHUNK elements."""
-    if start == len(rows):
-        return np.zeros(0, dtype=bool)
+    (p ⊑ w iff p <= w): an earlier row, or a later one that differs, so of
+    equal rows the first is kept; none below two rows.  Pairs are screened
+    on the flat entries probe (all entries if None), held probe-major so
+    that the screen reduces over its long axes, and compared in full only
+    where the screen passes, in chunks of at most _COVER_CHUNK elements."""
+    if start == len(rows) or len(rows) < 2:
+        return np.zeros(len(rows) - start, dtype=bool)
     size = rows.shape[-1] ** 2
     flat = rows.reshape(len(rows), size)
     keys = flat.T if probe is None else flat.T[probe]

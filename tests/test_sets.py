@@ -927,6 +927,62 @@ def test_covered_matches_brute_force(cover_chunk, monkeypatch):
     assert all(k >= 50 for k in seen.values()), seen
 
 
+def _brute_close(u, ws) -> list[np.ndarray]:
+    """The rows of ws seeded with u.eseed and closed by the textbook max-plus
+    Floyd-Warshall, one entry at a time; those with a positive cycle go."""
+    out = []
+    for w in ws:
+        n = len(w)
+        w = [[max(float(w[i, j]), float(u.eseed[i, j])) for j in range(n)] for i in range(n)]
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    w[i][j] = max(w[i][j], w[i][k] + w[k][j])
+        if all(w[i][i] <= 0 for i in range(n)):
+            out.append(np.array(w, dtype=float).reshape(n, n))
+    return out
+
+
+@pytest.mark.parametrize("close", [True, False], ids=["close", "closed"])
+@pytest.mark.parametrize("vars, consts", [((), ()), (("x", "y"), ()), (("x", "y", "z"), (0,)),
+                                          (("x", "y"), (-1, 3)), (("x",), (-3, 0, 2, 5))],
+                         ids=["no-node", "no-constant", "one-constant", "two-constants",
+                              "four-constants"])
+def test_normalise_matches_brute_force(vars, consts, close):
+    # _normalise of a random engine-layout stack against the definition: the
+    # rows closed if asked (otherwise given closed), sorted by bytes, each
+    # repeat and each row that another row covers (p <= w) dropped
+    u = universe(vars, consts)
+    rng = np.random.default_rng(53)
+    seen = dict.fromkeys(("rows 0", "rows 1", "rows 2", "many rows", "repeat", "covered"), 0)
+    for _ in range(100):
+        n = int(rng.choice([0, 1, 2, int(rng.integers(3, 10))]))
+        ws = rng.choice([NEG_INF] * 8 + [-2.0, -1.0, 0.0, 1.0], size=(n, u.size, u.size))
+        ws[:, range(u.size), range(u.size)] = NEG_INF
+        if n > 1 and rng.random() < 0.6:
+            # a repeat of row a, and a copy with one entry raised, which a covers
+            a, i, j = rng.integers(n), rng.integers(u.size or 1), rng.integers(u.size or 1)
+            ws = np.concatenate((ws, ws[[a, a]]))
+            if i != j:
+                ws[-1, i, j] = max(ws[-1, i, j], -2.0)
+        if not close:
+            closed = _brute_close(u, ws)
+            ws = np.array(closed).reshape(len(closed), u.size, u.size)
+        ws = ws[rng.permutation(len(ws))]
+        rows = _brute_close(u, ws) if close else list(ws)
+        unique = sorted({w.tobytes(): w for w in rows}.items(), key=lambda item: item[0])
+        kept = [w for b, w in unique if not any(c != b and (p <= w).all() for c, p in unique)]
+        got = sets._normalise(u, ws.copy(), close)
+        assert got.w.shape == (len(kept), u.size, u.size)
+        assert got.w.tobytes() == b"".join(w.tobytes() for w in kept)
+        seen[("rows 0", "rows 1", "rows 2")[len(ws)] if len(ws) < 3 else "many rows"] += 1
+        seen["repeat"] += len(unique) < len(rows)
+        seen["covered"] += len(kept) < len(unique)
+    if not u.size:
+        del seen["covered"]  # every row of the universe with no node is the empty one
+    assert all(k >= 3 for k in seen.values()), seen
+
+
 def test_pre_star_layer_with_no_satisfiable_pair(countdown):
     # x < 0 and y < 0: both rules need a primed variable >= 0, so every
     # pair of the first layer is rejected by the prefilter
