@@ -7,6 +7,10 @@ approximant formulas built per equivalence class.  Approximants over n
 states stabilize within n rounds, and the AG clause keeps every reachable
 state inside some approximant class, so the level-n matching relation is a
 bisimulation; the construction is validated by the oracle coherence tests.
+Θ_s is built as a DAG with one object per step: structurally equal class
+formulas, of any level, are one object, and each step into one, negated
+successor disjunction and EF[τ] is built once per call, so the formula's
+node objects are about as many as its structural classes.
 """
 
 from __future__ import annotations
@@ -98,17 +102,6 @@ def refine(l: FiniteLts) -> Partition:
     return refine_levels(l)[-1]
 
 
-def _diamond(mode: str, tau: str, a: str, f: Formula) -> Formula:
-    """The modality matching one step of the chosen relation: plain ⟨a⟩ for
-    strong mode; τ-restricted reachability around it for weak mode."""
-    if mode == "strong":
-        return Diamond(a, f)
-    ef_tau = lambda x: Ef(x, actions=(tau,))
-    if a == tau:
-        return ef_tau(f)
-    return ef_tau(Diamond(a, ef_tau(f)))
-
-
 def _hm_class_formulas(
     relation: FiniteLts,
     depth: int,
@@ -117,33 +110,62 @@ def _hm_class_formulas(
     alphabet: Sequence[str],
 ) -> tuple[list[Partition], list[dict[int, Formula]]]:
     """Per-level, per-class Hennessy-Milner formulas for the approximant
-    chain of the given (already saturated, in weak mode) relation."""
+    chain of the given (already saturated, in weak mode) relation, as one
+    DAG.  A class's formula is numbered by the numbers of its successor
+    classes' formulas per action, so structurally equal class formulas of
+    any levels are one number and one object; every step of the relation
+    (⟨a⟩ in strong mode, τ-reachability around it in weak mode) into a
+    numbered formula, negated successor disjunction, "no other a-step"
+    conjunct and EF[τ] is built once in the call."""
     levels = refine_levels(relation)
     while len(levels) <= depth:
         levels.append(levels[-1])
-    by_level: list[dict[int, Formula]] = [
-        {c: TrueF() for c in set(levels[0].classes.values())}
-    ]
+    # the formula of each number, the number of each tuple of successor
+    # numbers per action; a step's target is a number, or a negated
+    # disjunction's tuple of successor numbers
+    forms, numbers = [TrueF()], {(): 0}
+    steps, efs, negs, others = {}, {}, {}, {}
+
+    def ef_tau(x, f: Formula) -> Formula:
+        if x not in efs:
+            efs[x] = Ef(f, actions=(tau,))
+        return efs[x]
+
+    def step(a: str, x, f: Formula) -> Formula:
+        if mode == "weak" and a == tau:
+            return ef_tau(x, f)
+        if (a, x) not in steps:
+            steps[a, x] = (Diamond(a, f) if mode == "strong"
+                           else Ef(Diamond(a, ef_tau(x, f)), actions=(tau,)))
+        return steps[a, x]
+
+    by_level: list[dict[int, int]] = [{c: 0 for c in set(levels[0].classes.values())}]
     for k in range(1, depth + 1):
-        prev = levels[k - 1]
-        cur = levels[k]
-        out: dict[int, Formula] = {}
+        prev, nums, cur, out = levels[k - 1].classes, by_level[k - 1], levels[k], {}
         for s in relation.states:
             cid = cur.classes[s]
             if cid in out:
                 continue
-            parts = []
-            for a in alphabet:
-                succ_classes = sorted(
-                    {prev.classes[t] for t in relation.successors(s, a)}
-                )
-                succ_fs = [by_level[k - 1][c] for c in succ_classes]
-                for sf in succ_fs:
-                    parts.append(_diamond(mode, tau, a, sf))
-                parts.append(NotF(_diamond(mode, tau, a, NotF(or_all(succ_fs)))))
-            out[cid] = and_all(parts)
+            # from lists: a tuple built from a generator is resized, and
+            # freeing it would grow the interpreter's tuple free lists
+            sig = tuple([
+                tuple([nums[c] for c in sorted({prev[t] for t in relation.successors(s, a)})])
+                for a in alphabet
+            ])
+            if sig not in numbers:
+                parts = []
+                for a, succ in zip(alphabet, sig):
+                    parts += [step(a, n, forms[n]) for n in succ]
+                    if (a, succ) not in others:
+                        if succ not in negs:
+                            negs[succ] = NotF(or_all([forms[n] for n in succ]))
+                        others[a, succ] = NotF(step(a, succ, negs[succ]))
+                    parts.append(others[a, succ])
+                numbers[sig] = len(forms)
+                forms.append(and_all(parts))
+            out[cid] = numbers[sig]
         by_level.append(out)
-    return levels, by_level
+    return levels, [{c: forms[n] for c, n in out.items()} for out in by_level]
 
 
 def hm_formula(

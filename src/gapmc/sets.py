@@ -5,9 +5,12 @@ layout of a fixed (Var, Const) universe (mg.Universe), which the engine reads
 and returns as it is.  Invariant: each row is closed and satisfiable, no row
 covers another (an antichain under ⊑) and the rows are sorted by bytes;
 _normalise establishes it for every operation, by _covered, the one covering
-test.  A full-layout row is the engine row with later shifts of its entries,
-so order, repeats and covering are the full layout's.  No rows denote the
-empty set; one row without constraints, all valuations.
+test, and does only the work a stack's rows need: an empty stack is not
+closed, and one of fewer than two rows is not sorted or screened.  Every
+set's rows are its own array.  A full-layout row is the engine row with
+later shifts of its entries, so order, repeats and covering are the full
+layout's.  No rows denote the empty set; one row without constraints, all
+valuations.
 
 Backward reachability (pre_star, reaches) explores its pool breadth first,
 one layer at a time: the rows added by the previous layer are composed with
@@ -117,11 +120,14 @@ class SymbolicSet:
 
 def _normalise(u: Universe, ws, close: bool = True) -> SymbolicSet:
     """The set of the (m, e, e) engine-layout weight stack ws over u: with
-    close set its rows are closed first and unsatisfiable ones dropped,
-    otherwise they must be closed and satisfiable already; then the rows are
-    sorted by bytes, and repeats and the rows that _covered masks go."""
-    if close:
+    close set a non-empty stack's rows are closed first and unsatisfiable
+    ones dropped, otherwise they must be closed and satisfiable already;
+    then a stack of two or more rows is sorted by bytes, and repeats and the
+    rows that _covered masks go.  The result's rows are its own copy."""
+    if close and len(ws):
         ws = ws[close_seeded(ws, u.eseed)]
+    if len(ws) < 2:
+        return SymbolicSet(u.vars, u.consts, ws.copy())
     rows = sorted({w.tobytes(): i for i, w in enumerate(ws)}.items())
     ws = ws[[i for _, i in rows]]
     return SymbolicSet(u.vars, u.consts, ws[~_covered(ws, 0, None)])
@@ -145,7 +151,9 @@ def make_set(
 
 
 def full_set(vars: Iterable[str], consts: Iterable[int]) -> SymbolicSet:
-    return atom_set(vars, consts, ())
+    """All valuations: the one engine row without constraints, closed."""
+    u = universe(vars, consts)
+    return _normalise(u, np.full((1, u.size, u.size), NEG_INF))
 
 
 def atom_set(vars, consts, clauses: Iterable[Clause]) -> SymbolicSet:

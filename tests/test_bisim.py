@@ -1,7 +1,10 @@
 """Bisimulation machinery: weak closure, refinement, characteristic formulas."""
 
+import random
+
 import pytest
 
+from gapmc import logic
 from gapmc.bisim import (
     FiniteLts,
     characteristic_formula,
@@ -12,7 +15,7 @@ from gapmc.bisim import (
     weak_closure,
 )
 from gapmc.gcs import Gcs, TransitionRule, encode_finite_lts
-from gapmc.logic import AndF, Diamond, Ef, NotF, OrF, TrueF
+from gapmc.logic import AndF, Diamond, Ef, NotF, OrF, TrueF, ag, and_all, or_all
 from gapmc.mg import Clause
 
 
@@ -194,6 +197,71 @@ def test_characteristic_formula_library(mode):
                 assert got == classes.same_class("L." + s, "R." + t), (
                     mode, s, t, l1.transitions, l2.transitions,
                 )
+
+
+def _tree_characteristic_formula(l, s, mode, tau, alphabet):
+    """Θ_s built as a tree: every step, disjunction and EF[τ] made anew for
+    each class that names it, by the class-formula loop that the DAG
+    construction replaced."""
+
+    def step(a, f):
+        if mode == "strong":
+            return Diamond(a, f)
+        ef_tau = lambda x: Ef(x, actions=(tau,))
+        return ef_tau(f) if a == tau else ef_tau(Diamond(a, ef_tau(f)))
+
+    relation = l if mode == "strong" else weak_closure(l, tau)
+    n = len(l.states)
+    levels = refine_levels(relation)
+    levels += [levels[-1]] * (n + 1 - len(levels))
+    by_level = [{c: TrueF() for c in set(levels[0].classes.values())}]
+    for k in range(1, n + 1):
+        out = {}
+        for s2 in relation.states:
+            cid = levels[k].classes[s2]
+            if cid in out:
+                continue
+            parts = []
+            for a in alphabet:
+                succ = sorted({levels[k - 1].classes[t] for t in relation.successors(s2, a)})
+                succ_fs = [by_level[k - 1][c] for c in succ]
+                parts += [step(a, f) for f in succ_fs]
+                parts.append(NotF(step(a, NotF(or_all(succ_fs)))))
+            out[cid] = and_all(parts)
+        by_level.append(out)
+    phi_s = by_level[n][levels[n].classes[s]]
+    return AndF(phi_s, ag(or_all([by_level[n][c] for c in sorted(by_level[n])])))
+
+
+# (states, transition labels) of the benchmark's three LTS shapes, then free ones
+SHAPES = [(3, ("a", "a", "b", "tau")), (4, ("a", "b", "tau")), (3, ("a", "a", "b", "b"))]
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_characteristic_formula_is_the_tree_formula_with_each_step_built_once(mode):
+    # on random LTSs of 2-4 states, Θ_s equals the tree-built formula and is
+    # numbered as it is, while no two of its Diamond or Ef objects share a
+    # structural class, and its node objects average under 1.35 per class
+    rng = random.Random(71)
+    acts = ("a", "b", "tau")
+    objects = classes = 0
+    for i in range(60):
+        n, labels = SHAPES[i] if i < len(SHAPES) else (
+            rng.randint(2, 4), [rng.choice(acts) for _ in range(rng.randint(1, 6))])
+        states = tuple(f"s{j}" for j in range(n))
+        l = FiniteLts(states, acts, frozenset(
+            (rng.choice(states), a, rng.choice(states)) for a in labels))
+        for s in states:
+            theta = characteristic_formula(l, s, mode, "tau", acts)
+            tree = _tree_characteristic_formula(l, s, mode, "tau", acts)
+            assert theta == tree
+            keys, of, _ = logic._classes(theta)
+            assert list(keys) == list(logic._classes(tree)[0])
+            nodes = logic.postorder(theta)
+            modal = [of[id(f)] for f in nodes if type(f) in (Diamond, Ef)]
+            assert len(modal) == len(set(modal)), (mode, s, l.transitions)
+            objects, classes = objects + len(nodes), classes + len(keys)
+    assert objects <= 1.35 * classes, (objects, classes)
 
 
 def test_strong_and_weak_coincide_without_tau():

@@ -943,6 +943,15 @@ def _brute_close(u, ws) -> list[np.ndarray]:
     return out
 
 
+def _brute_normalise(u, ws, close) -> list[np.ndarray]:
+    """The rows of the set of ws by the definition: the rows closed if asked
+    (otherwise given closed), sorted by bytes, each repeat and each row that
+    another row covers (p <= w) dropped."""
+    rows = _brute_close(u, ws) if close else list(ws)
+    unique = sorted({w.tobytes(): w for w in rows}.items(), key=lambda item: item[0])
+    return [w for b, w in unique if not any(c != b and (p <= w).all() for c, p in unique)]
+
+
 @pytest.mark.parametrize("close", [True, False], ids=["close", "closed"])
 @pytest.mark.parametrize("vars, consts", [((), ()), (("x", "y"), ()), (("x", "y", "z"), (0,)),
                                           (("x", "y"), (-1, 3)), (("x",), (-3, 0, 2, 5))],
@@ -970,8 +979,8 @@ def test_normalise_matches_brute_force(vars, consts, close):
             ws = np.array(closed).reshape(len(closed), u.size, u.size)
         ws = ws[rng.permutation(len(ws))]
         rows = _brute_close(u, ws) if close else list(ws)
-        unique = sorted({w.tobytes(): w for w in rows}.items(), key=lambda item: item[0])
-        kept = [w for b, w in unique if not any(c != b and (p <= w).all() for c, p in unique)]
+        unique = {w.tobytes() for w in rows}
+        kept = _brute_normalise(u, ws, close)
         got = sets._normalise(u, ws.copy(), close)
         assert got.w.shape == (len(kept), u.size, u.size)
         assert got.w.tobytes() == b"".join(w.tobytes() for w in kept)
@@ -981,6 +990,59 @@ def test_normalise_matches_brute_force(vars, consts, close):
     if not u.size:
         del seen["covered"]  # every row of the universe with no node is the empty one
     assert all(k >= 3 for k in seen.values()), seen
+
+
+def test_every_result_owns_its_normalised_rows(countdown):
+    # results of 0, 1 and 2 or more rows of every set operation: read-only,
+    # sharing no memory with an operand, and the brute-force normalisation of
+    # their own rows; union, intersect_sets, atom_set and full_set also give
+    # that of the stack they are defined by
+    rng = random.Random(67)
+    u = universe(VARS, CONSTS)
+    seen: dict = {}
+
+    def judge(name, got, operands, defined_by=None, close=True):
+        assert not got.w.flags.writeable and got.w.flags.owndata
+        assert not any(np.shares_memory(got.w, s.w) for s in operands)
+        expect = [_brute_normalise(got.u, got.w, True)]
+        if defined_by is not None:
+            expect.append(_brute_normalise(got.u, defined_by, close))
+        for rows in expect:
+            assert got.w.tobytes() == b"".join(w.tobytes() for w in rows), name
+        seen[name, min(len(got.w), 2)] = seen.get((name, min(len(got.w), 2)), 0) + 1
+
+    def random_set():
+        return make_set(VARS, CONSTS, [random_plain_mg(rng) for _ in range(rng.randint(0, 3))])
+
+    for _ in range(120):
+        s, t = random_set(), random_set()
+        judge("union", union(s, t), [s, t], np.concatenate((s.w, t.w)), close=False)
+        prods = np.maximum(s.w[:, None], t.w[None, :]).reshape(-1, u.size, u.size)
+        judge("intersect_sets", intersect_sets(s, t), [s, t], prods)
+        judge("complement", complement(s), [s])
+        judge("pre_action", pre_action(countdown, rng.choice("ab"), s), [s])
+        judge("pre_star", pre_star(countdown, s), [s])
+        pairs = [rng.sample(VARS + CONSTS, 2) for _ in range(rng.randint(0, 4))]
+        clauses = [Clause(a, b, rng.randint(-3, 3)) for a, b in pairs]
+        judge("atom_set", atom_set(VARS, CONSTS, clauses), [], clause_stack(u, [clauses], engine=True))
+    for vars, consts in (((), ()), (VARS, ()), (VARS, CONSTS), (("x",), (-3, 0, 2, 5))):
+        w = universe(vars, consts)
+        judge("full_set", full_set(vars, consts), [], np.full((1, w.size, w.size), NEG_INF))
+    rows = dict.fromkeys(("union", "intersect_sets", "complement", "pre_action", "pre_star"), (0, 1, 2))
+    rows.update(atom_set=(0, 1), full_set=(1,))  # one conjunction, one row
+    assert set(seen) == {(op, m) for op, ms in rows.items() for m in ms}
+    assert min(seen.values()) >= 4, seen
+
+
+def test_normalise_closes_no_empty_stack(monkeypatch):
+    calls = []
+    close = sets.close_seeded
+    monkeypatch.setattr(sets, "close_seeded", lambda ws, seed: calls.append(len(ws)) or close(ws, seed))
+    u = universe(VARS, CONSTS)
+    assert sets._normalise(u, np.full((0, u.size, u.size), NEG_INF)).is_empty()
+    assert calls == []
+    assert complement(full_set(VARS, CONSTS)).is_empty()
+    assert calls == [1]  # the full set's one row, and no empty one
 
 
 def test_pre_star_layer_with_no_satisfiable_pair(countdown):
