@@ -103,20 +103,22 @@ def refine(l: FiniteLts) -> Partition:
 
 
 def _hm_class_formulas(
-    relation: FiniteLts,
+    l: FiniteLts,
     depth: int,
     mode: str,
     tau: str,
-    alphabet: Sequence[str],
+    alphabet: Optional[Sequence[str]],
 ) -> tuple[list[Partition], list[dict[int, Formula]]]:
     """Per-level, per-class Hennessy-Milner formulas for the approximant
-    chain of the given (already saturated, in weak mode) relation, as one
-    DAG.  A class's formula is numbered by the numbers of its successor
-    classes' formulas per action, so structurally equal class formulas of
-    any levels are one number and one object; every step of the relation
-    (⟨a⟩ in strong mode, τ-reachability around it in weak mode) into a
+    chain of l (of its weak closure, in weak mode) over the alphabet, by
+    default that relation's actions, as one DAG.  A class's formula is
+    numbered by its successor classes' numbers per action, so structurally
+    equal class formulas of any levels are one number and one object; every
+    step (⟨a⟩ in strong mode, τ-reachability around it in weak mode) into a
     numbered formula, negated successor disjunction, "no other a-step"
     conjunct and EF[τ] is built once in the call."""
+    relation = l if mode == "strong" else weak_closure(l, tau)
+    alphabet = tuple(alphabet) if alphabet is not None else relation.acts
     levels = refine_levels(relation)
     while len(levels) <= depth:
         levels.append(levels[-1])
@@ -179,9 +181,7 @@ def hm_formula(
     """The depth-k characteristic formula of s w.r.t. the k-th (weak)
     bisimulation approximant: satisfied by exactly the states the k-th
     approximant relates to s."""
-    relation = l if mode == "strong" else weak_closure(l, tau)
-    alphabet = tuple(alphabet) if alphabet is not None else relation.acts
-    levels, by_level = _hm_class_formulas(relation, depth, mode, tau, alphabet)
+    levels, by_level = _hm_class_formulas(l, depth, mode, tau, alphabet)
     return by_level[depth][levels[depth].classes[s]]
 
 
@@ -193,10 +193,8 @@ def characteristic_formula(
     alphabet: Optional[Sequence[str]] = None,
 ) -> Formula:
     """Θ_s, satisfied by exactly the states (weakly) bisimilar to s."""
-    relation = l if mode == "strong" else weak_closure(l, tau)
-    alphabet = tuple(alphabet) if alphabet is not None else relation.acts
     n = len(l.states)
-    levels, by_level = _hm_class_formulas(relation, n, mode, tau, alphabet)
+    levels, by_level = _hm_class_formulas(l, n, mode, tau, alphabet)
     phi_s = by_level[n][levels[n].classes[s]]
     all_classes = [by_level[n][c] for c in sorted(set(by_level[n]))]
     return logic.AndF(phi_s, logic.ag(or_all(all_classes)))

@@ -59,6 +59,7 @@ from .mg import (
     Node,
     Universe,
     check_exact,
+    equal,
     is_const,
     is_primed,
 )
@@ -190,7 +191,7 @@ def _parse_term(ts: _Stream) -> Node:
 _COMPARISONS = {
     ">=": lambda a, b: (Clause(a, b, 0),),
     ">": lambda a, b: (Clause(a, b, 1),),
-    "=": lambda a, b: (Clause(a, b, 0), Clause(b, a, 0)),
+    "=": equal,
 }
 
 

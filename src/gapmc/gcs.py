@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
-from .mg import Clause, is_const, prime
+from .mg import Clause, equal, is_const, prime
 
 Valuation = dict[str, int]
 
@@ -103,12 +103,6 @@ def encode_finite_lts(l) -> Gcs:
     n = len(l.states)
     rules = []
     for i, (src, a, dst) in enumerate(sorted(l.transitions, key=str)):
-        p, q = index[src], index[dst]
-        clauses = (
-            Clause("state", p, 0),
-            Clause(p, "state", 0),
-            Clause(prime("state"), q, 0),
-            Clause(q, prime("state"), 0),
-        )
+        clauses = equal("state", index[src]) + equal(prime("state"), index[dst])
         rules.append(TransitionRule(f"t{i}_{src}_{a}_{dst}", clauses, a))
     return Gcs(("state",), tuple(range(1, n + 1)), tuple(l.acts), tuple(rules))

@@ -19,6 +19,7 @@ gap-order systems is undecidable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Mapping, Optional
 
 from . import sets
@@ -125,21 +126,11 @@ def box(action: str, f: Formula, guard: tuple[Clause, ...] = ()) -> Formula:
 
 
 def or_all(fs: list[Formula]) -> Formula:
-    if not fs:
-        return false_()
-    out = fs[0]
-    for f in fs[1:]:
-        out = OrF(out, f)
-    return out
+    return reduce(OrF, fs) if fs else false_()
 
 
 def and_all(fs: list[Formula]) -> Formula:
-    if not fs:
-        return TrueF()
-    out = fs[0]
-    for f in fs[1:]:
-        out = AndF(out, f)
-    return out
+    return reduce(AndF, fs) if fs else TrueF()
 
 
 # the subformula fields of each node type, left to right, and the others;

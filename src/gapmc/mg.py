@@ -48,6 +48,11 @@ class Clause(NamedTuple):
         return f"{self.left} - {self.right} >= {self.k}"
 
 
+def equal(a: Node, b: Node) -> tuple[Clause, Clause]:
+    """The two gap clauses of ``a = b``."""
+    return Clause(a, b, 0), Clause(b, a, 0)
+
+
 def prime(name: str) -> str:
     return name + "'"
 

@@ -91,40 +91,21 @@ class WindowGraph:
         return self.index[key]
 
     def _endpoint(self, e):
+        """A clause endpoint over (source, target) state pairs, shaped for
+        numpy to broadcast: a constant is itself, an unprimed variable runs
+        down the source axis and a primed one along the target axis."""
         if is_const(e):
-            return ("c", e)
+            return e
         if is_primed(e):
-            col = self.gcs.vars.index(e[:-1])
-            return ("t", self.vals[:, col])
-        col = self.gcs.vars.index(e)
-        return ("s", self.vals[:, col])
+            return self.vals[None, :, self.gcs.vars.index(e[:-1])]
+        return self.vals[:, None, self.gcs.vars.index(e)]
 
     def constraint_matrix(self, clauses: Sequence[Clause]) -> np.ndarray:
         """N×N boolean matrix: entry (i, j) iff state_i ⊕ state_j satisfies
         every clause."""
-        n = len(self.states)
-        m = np.ones((n, n), dtype=bool)
+        m = np.ones((len(self.states),) * 2, dtype=bool)
         for c in clauses:
-            lk, lv = self._endpoint(c.left)
-            rk, rv = self._endpoint(c.right)
-            kinds = {lk, rk}
-            if kinds == {"c"}:
-                if not (lv - rv >= c.k):
-                    m[:] = False
-            elif "t" not in kinds:
-                left = lv if lk == "s" else np.full(n, lv)
-                right = rv if rk == "s" else np.full(n, rv)
-                m &= (left - right >= c.k)[:, None]
-            elif "s" not in kinds:
-                left = lv if lk == "t" else np.full(n, lv)
-                right = rv if rk == "t" else np.full(n, rv)
-                m &= (left - right >= c.k)[None, :]
-            else:
-                # one endpoint over source states, the other over targets
-                if lk == "s":
-                    m &= lv[:, None] - rv[None, :] >= c.k
-                else:
-                    m &= lv[None, :] - rv[:, None] >= c.k
+            m &= self._endpoint(c.left) - self._endpoint(c.right) >= c.k
         return m
 
     def adjacency(
@@ -147,14 +128,9 @@ class WindowGraph:
         return adj
 
     def clause_vector(self, c: Clause) -> np.ndarray:
-        lk, lv = self._endpoint(c.left)
-        rk, rv = self._endpoint(c.right)
-        if lk == "t" or rk == "t":
+        if is_primed(c.left) or is_primed(c.right):
             raise ValueError("state formulas cannot mention primed variables")
-        n = len(self.states)
-        left = lv if lk == "s" else np.full(n, lv)
-        right = rv if rk == "s" else np.full(n, rv)
-        return left - right >= c.k
+        return self.constraint_matrix((c,))[:, 0]
 
 
 def explicit_denote(w: WindowGraph, f: Formula) -> np.ndarray:

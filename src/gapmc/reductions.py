@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .gcs import Gcs, TransitionRule, Valuation
-from .logic import AndF, Atom, Ef, Formula, postorder
-from .mg import Clause, prime
+from .logic import Atom, Ef, Formula, and_all, postorder
+from .mg import Clause, equal, prime
 
 log = logging.getLogger(__name__)
 
@@ -109,8 +109,11 @@ class Qbf:
     matrix: BoolExpr
 
     def __post_init__(self):
-        bound = {v for _, v in self.prefix}
-        free = self.matrix.variables() - bound
+        names = [v for _, v in self.prefix]
+        twice = sorted({v for v in names if names.count(v) > 1})
+        if twice:
+            raise ValueError(f"variables {twice} are quantified more than once")
+        free = self.matrix.variables() - set(names)
         if free:
             raise ValueError(f"matrix variables {sorted(free)} are not quantified")
         for q, _ in self.prefix:
@@ -152,12 +155,17 @@ def program_step(p: BooleanProgram, state: str, env: dict) -> list[tuple[str, di
 
 
 def qbf_to_boolean_program(q: Qbf) -> tuple[BooleanProgram, str, str]:
-    """The top-down evaluation program; returns (program, start, target)."""
+    """The top-down evaluation program; returns (program, start, target).
+    The flags are y_1 .. y_{k+1}, or yy_1 ... if the QBF names one of them."""
     k = len(q.prefix)
     states = [f"eval_{i}" for i in range(1, k + 2)] + [f"out_{i}" for i in range(1, k + 2)]
-    variables = [v for _, v in q.prefix] + [f"y_{k + 1}"]
+    variables = [v for _, v in q.prefix]
+    flag = "y"
+    while any(f"{flag}_{i}" in variables for i in range(1, k + 2)):
+        flag += "y"
+    variables.append(f"{flag}_{k + 1}")
     transitions = [
-        ProgramTransition(f"eval_{k + 1}", q.matrix, (f"y_{k + 1}", 1), f"out_{k + 1}")
+        ProgramTransition(f"eval_{k + 1}", q.matrix, (f"{flag}_{k + 1}", 1), f"out_{k + 1}")
     ]
     for i, (quant, x) in enumerate(q.prefix, start=1):
         if quant == "E":
@@ -167,7 +175,7 @@ def qbf_to_boolean_program(q: Qbf) -> tuple[BooleanProgram, str, str]:
                 ProgramTransition(f"out_{i + 1}", None, None, f"out_{i}"),
             ]
         else:
-            y = f"y_{i}"
+            y = f"{flag}_{i}"
             variables.append(y)
             transitions += [
                 # the flag selects the branch: both values must be verified in
@@ -225,19 +233,22 @@ def _guard_disjuncts(guard: Optional[BoolExpr]) -> list[dict]:
 def boolean_program_to_gcs(
     p: BooleanProgram, start: str, target: str
 ) -> tuple[Gcs, Valuation, Formula]:
-    """Embed the program into a GCS: ``state`` carries the control state
-    index, every boolean variable is framed or reassigned each step, and all
-    successor values are explicitly bounded so the result is window-closed
-    over [0, number of control states]."""
+    """Embed the program into a GCS: ``state`` (``state_`` ... if the program
+    names it) carries the control state index, every boolean variable is
+    framed or reassigned each step, and all successor values are explicitly
+    bounded so the result is window-closed over [0, number of control states]."""
     index = {s: i + 1 for i, s in enumerate(p.states)}
     n = len(p.states)
     consts = tuple(sorted({0, 1} | set(range(1, n + 1))))
+    control = "state"
+    while control in p.variables:
+        control += "_"
     # clauses shared by many rules are built once
-    frame = {x: (Clause(prime(x), x, 0), Clause(x, prime(x), 0)) for x in p.variables}
+    frame = {x: equal(prime(x), x) for x in p.variables}
     # explicit window bounds for the syntactic closedness certificate
     window = tuple(
         c
-        for x in ("state",) + p.variables
+        for x in (control,) + p.variables
         for c in (Clause(prime(x), 0, 0), Clause(n, prime(x), 0))
     )
     rules = []
@@ -246,17 +257,11 @@ def boolean_program_to_gcs(
         if not disjuncts:
             log.debug("transition %s -> %s has an unsatisfiable guard; dropped",
                       t.src, t.dst)
-        src, dst = index[t.src], index[t.dst]
-        step = (
-            Clause("state", src, 0),
-            Clause(src, "state", 0),
-            Clause(prime("state"), dst, 0),
-            Clause(dst, prime("state"), 0),
-        )
+        step = equal(control, index[t.src]) + equal(prime(control), index[t.dst])
         pins = dict(frame)
         if t.assign is not None and t.assign[0] in pins:
             x, b = t.assign
-            pins[x] = (Clause(prime(x), b, 0), Clause(b, prime(x), 0))
+            pins[x] = equal(prime(x), b)
         updates = tuple(c for x in p.variables for c in pins[x])
         for di, env in enumerate(disjuncts):
             literals = tuple(
@@ -265,12 +270,9 @@ def boolean_program_to_gcs(
             rules.append(
                 TransitionRule(f"t{ti}_{di}", step + literals + updates + window, "step")
             )
-    g = Gcs(("state",) + p.variables, consts, ("step",), tuple(rules))
-    initial: Valuation = {"state": index[start], **{x: 0 for x in p.variables}}
-    target_formula = Ef(
-        AndF(Atom(Clause("state", index[target], 0)), Atom(Clause(index[target], "state", 0)))
-    )
-    return g, initial, target_formula
+    g = Gcs((control,) + p.variables, consts, ("step",), tuple(rules))
+    initial: Valuation = {control: index[start], **{x: 0 for x in p.variables}}
+    return g, initial, Ef(and_all([Atom(c) for c in equal(control, index[target])]))
 
 
 def qbf_to_gcs(q: Qbf) -> tuple[Gcs, Valuation, Formula]:

@@ -285,6 +285,54 @@ def test_gen_qbf_round_trip(tmp_path, capsys):
     assert code == 0  # the QBF is true
 
 
+def test_gen_qbf_output_matches_golden_files(tmp_path, capsys):
+    # the files that earlier releases wrote for the README QBF, byte for byte
+    out = tmp_path / "inst"
+    assert main(["gen-qbf", "A x E y : (x & y) | (!x & !y)", "--out", str(out)]) == 0
+    for name in ("instance.gcs", "initial.val", "target.ef"):
+        assert (out / name).read_bytes() == (DATA / "gen_qbf_readme" / name).read_bytes(), name
+
+
+def _random_clashing_qbf(rng):
+    """A prenex QBF over names that gen-qbf's control variable and flags
+    could take, with a matrix of one to three literal disjunctions."""
+    names = rng.sample(["x", "state", "y_1", "y_2", "y_3"], rng.randint(1, 4))
+    prefix = " ".join(f"{rng.choice('AE')} {v}" for v in names)
+    clauses = [" | ".join(rng.choice(("", "!")) + rng.choice(names) for _ in range(rng.randint(1, 3)))
+               for _ in range(rng.randint(1, 3))]
+    return prefix + " : " + " & ".join(f"({c})" for c in clauses)
+
+
+def test_gen_qbf_names_its_variables_apart_from_the_qbfs(tmp_path, capsys):
+    # the control variable and the flags are named outside the QBF's own
+    # variables, so every instance parses back and answers as the QBF
+    # evaluates; these five once repeated a variable and answered wrongly
+    rng = random.Random(28)
+    texts = ["A x A y_1 : !x | y_1", "A y_2 A x : !y_2 | x", "E y_2 A x : y_2 & x",
+             "E state : state", "A state : state | !state"]
+    texts += [_random_clashing_qbf(rng) for _ in range(40)]
+    for i, text in enumerate(texts):
+        out = tmp_path / str(i)
+        assert main(["gen-qbf", text, "--out", str(out)]) == 0
+        code = main([
+            "check",
+            str(out / "instance.gcs"),
+            (out / "initial.val").read_text().strip(),
+            (out / "target.ef").read_text().strip(),
+        ])
+        assert capsys.readouterr().err == ""
+        assert code == (0 if oracle.qbf_eval(parse_qbf(text)) else 1), text
+
+
+def test_gen_qbf_refuses_a_variable_quantified_twice(tmp_path, capsys):
+    out = tmp_path / "inst"
+    assert main(["gen-qbf", "A x E x : x", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: variables ['x'] are quantified more than once\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "matrix", [" & ".join(["x"] * 3000), " | ".join(["x"] * 3000)], ids=["and-chain", "or-chain"],
 )

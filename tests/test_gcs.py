@@ -1,10 +1,12 @@
 """System model: validation, explicit stepping, window enumeration, LTS encoding."""
 
+import pathlib
 import random
 
 import pytest
 
 from gapmc.bisim import FiniteLts
+from gapmc.frontend import serialize_gcs
 from gapmc.gcs import Gcs, TransitionRule, encode_finite_lts, step, successors_in_window, validate
 from gapmc.mg import Clause, from_constraint
 
@@ -149,6 +151,14 @@ def test_countdown_steps_decrease_lexicographically(countdown):
 
 
 # -- encode_finite_lts ------------------------------------------------------------
+
+
+def test_encode_matches_the_golden_file():
+    # the text that earlier releases wrote for this LTS, byte for byte
+    l = FiniteLts(("s", "t", "u"), ("a", "b", "tau"), frozenset(
+        {("s", "a", "t"), ("s", "a", "s"), ("t", "b", "u"), ("u", "tau", "s"), ("u", "a", "t")}))
+    golden = pathlib.Path(__file__).parent / "data" / "encode_lts_three_states.gcs"
+    assert serialize_gcs(encode_finite_lts(l)).encode() == golden.read_bytes()
 
 
 def test_encode_self_loop():

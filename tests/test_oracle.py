@@ -1,16 +1,19 @@
 """Ground-truth machinery: explicit window evaluation and the differential harness."""
 
+import random
+
 import pytest
 
 from gapmc import logic
-from gapmc.gcs import Gcs, TransitionRule
+from gapmc.gcs import Gcs, TransitionRule, clause_holds, combine
 from gapmc.logic import Atom, Diamond, Ef, NotF, TrueF, and_all
-from gapmc.mg import Clause
+from gapmc.mg import Clause, prime
 from gapmc.oracle import (
     WindowGraph,
     differential_run,
     explicit_check,
     qbf_eval,
+    random_window_closed_gcs,
     window_closed,
 )
 from gapmc.reductions import BVar, Qbf
@@ -139,3 +142,32 @@ def test_atom_only_agreement():
     neg = NotF(atom)
     for s in w.states:
         assert explicit_check(w, s, neg) == (s["x"] - s["y"] < 1)
+
+
+def test_window_matrices_match_the_step_relation():
+    # the window oracle's broadcast matrices against gcs.clause_holds, pair by
+    # pair: adjacency (i, j) iff some rule with a label in actions has all
+    # its clauses and the guard's hold on s_i combined with s_j, and a clause
+    # vector holds at s_i iff its clause does; windows hold at most 27 states
+    rng = random.Random(28)
+    for _ in range(40):
+        hi = rng.randint(1, 2)
+        g = random_window_closed_gcs(rng, 0, hi)
+        w = WindowGraph(g, 0, hi)
+        terms = list(g.vars) + [prime(x) for x in g.vars] + [-1, 0, hi, hi + 1]
+        guard = tuple(Clause(*rng.sample(terms, 2), rng.randint(-2, 2))
+                      for _ in range(rng.randint(0, 2)))
+        pairs = [combine(s, t) for s in w.states for t in w.states]
+        for actions in (None, g.acts[:1], g.acts):
+            holds = [any(all(clause_holds(c, both) for c in rule.clauses + guard)
+                         for rule in g.rules if actions is None or rule.label in actions)
+                     for both in pairs]
+            assert w.adjacency(actions, guard).ravel().tolist() == holds
+        state_terms = list(g.vars) + [-1, 0, hi, hi + 1]
+        for _ in range(4):
+            c = Clause(*rng.sample(state_terms, 2), rng.randint(-2, 2))
+            assert w.clause_vector(c).tolist() == [clause_holds(c, s) for s in w.states]
+        x = rng.choice(g.vars)
+        for c in (Clause(prime(x), 0, 0), Clause(hi, prime(x), 1), Clause(x, prime(x), 0)):
+            with pytest.raises(ValueError, match="primed"):
+                w.clause_vector(c)
