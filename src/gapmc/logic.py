@@ -14,6 +14,9 @@ occurs many times, as in characteristic formulas, is one class, evaluated
 once.  EG and E..U nodes exist so that input can be parsed and
 rejected with a clear diagnostic: their model checking problem over
 gap-order systems is undecidable.
+
+Formulas, like the QBF matrices of reductions, are Trees: they share one
+structural equality, hash and numbering (_classes), and one walk (postorder).
 """
 
 from __future__ import annotations
@@ -32,15 +35,18 @@ class UndecidableFormulaError(ValueError):
     """Raised for EG/EU nodes, whose evaluation problem is undecidable."""
 
 
-class Formula:
-    """Base class; subclasses are frozen dataclasses.  Equality and hash are
+class Tree:
+    """Base class of every tree the package builds: the formulas below and
+    the QBF matrices of reductions.  Its subclasses are frozen dataclasses,
+    and each node type names its subtree fields, left to right, in the class
+    attribute ``operands``, which is not a field.  Equality and hash are
     structural: they compare the key sequences of _classes, one walk with an
     explicit stack, so they take no recursion at any depth or width."""
 
     __slots__ = ()
 
     def __eq__(self, other):
-        if not isinstance(other, Formula):
+        if not isinstance(other, Tree):
             return NotImplemented
         return self is other or list(_classes(self)[0]) == list(_classes(other)[0])
 
@@ -48,29 +54,39 @@ class Formula:
         return hash(tuple(_classes(self)[0]))
 
 
+class Formula(Tree):
+    """Base class of the EF formulas."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True, eq=False)
 class Atom(Formula):
+    operands = ()
     clause: Clause
 
 
 @dataclass(frozen=True, eq=False)
 class TrueF(Formula):
-    pass
+    operands = ()
 
 
 @dataclass(frozen=True, eq=False)
 class NotF(Formula):
+    operands = ("f",)
     f: Formula
 
 
 @dataclass(frozen=True, eq=False)
 class AndF(Formula):
+    operands = ("left", "right")
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True, eq=False)
 class OrF(Formula):
+    operands = ("left", "right")
     left: Formula
     right: Formula
 
@@ -81,6 +97,7 @@ class Diamond(Formula):
     transitional guard clauses (these may be non-positive; the guard is
     applied once, not iterated)."""
 
+    operands = ("f",)
     action: str
     f: Formula
     guard: tuple[Clause, ...] = ()
@@ -91,6 +108,7 @@ class Ef(Formula):
     """EF f, optionally restricted to an action subset and to steps
     satisfying a positive transitional guard."""
 
+    operands = ("f",)
     f: Formula
     guard: tuple[Clause, ...] = ()
     actions: Optional[tuple[str, ...]] = None
@@ -98,6 +116,7 @@ class Ef(Formula):
 
 @dataclass(frozen=True, eq=False)
 class Eg(Formula):
+    operands = ("f",)
     f: Formula
     guard: tuple[Clause, ...] = ()
     actions: Optional[tuple[str, ...]] = None
@@ -105,6 +124,7 @@ class Eg(Formula):
 
 @dataclass(frozen=True, eq=False)
 class Eu(Formula):
+    operands = ("left", "right")
     left: Formula
     right: Formula
 
@@ -133,24 +153,18 @@ def and_all(fs: list[Formula]) -> Formula:
     return reduce(AndF, fs) if fs else TrueF()
 
 
-# the subformula fields of each node type, left to right, and the others;
 # the types that count one level of nesting depth
-_OPERANDS = {
-    Atom: (), TrueF: (), NotF: ("f",), AndF: ("left", "right"), OrF: ("left", "right"),
-    Diamond: ("f",), Ef: ("f",), Eg: ("f",), Eu: ("left", "right"),
-}
-_LEAVES = {t: tuple(k for k in t.__dataclass_fields__ if k not in ops) for t, ops in _OPERANDS.items()}
 _LEVELS = (NotF, Diamond, Ef, Eg, Eu)
 
 
-def _subformulas(f: Formula) -> list[Formula]:
-    names = _OPERANDS.get(type(f))
-    if names is None:
-        raise TypeError(f"not a formula: {f!r}")
-    return [getattr(f, k) for k in names]
+def children(t: Tree) -> list[Tree]:
+    """The subtrees of the node t, left to right."""
+    if not isinstance(t, Tree):
+        raise TypeError(f"not a tree: {t!r}")
+    return [getattr(t, k) for k in t.operands]
 
 
-def postorder(f, children=_subformulas) -> list:
+def postorder(f, children=children) -> list:
     """The node objects reachable from f through ``children``, each once,
     every node after its children; an explicit stack, so any depth works.
     Every tree walk below the parsers, formulas' and QBFs', is one of these."""
@@ -166,17 +180,19 @@ def postorder(f, children=_subformulas) -> list:
     return order
 
 
-def _classes(f: Formula) -> tuple[dict[tuple, int], dict[int, int], list[int]]:
+def _classes(f: Tree) -> tuple[dict[tuple, int], dict[int, int], list[int]]:
     """f's nodes numbered by structure in one walk: a node's key is its type,
     its operands' classes and its other fields; each distinct key is a class,
     numbered operands first, so f's class is last.  Returns key -> class
     in that order, id(node) -> class for every node object of f and each
     class's nesting depth.  No node is built; the ids hold while f lives."""
-    keys, of, depth = {}, {}, []
+    keys, of, depth, leaves = {}, {}, [], {}  # leaves: type -> its other fields
     for node in postorder(f):
         t = type(node)
-        ops = [of[id(getattr(node, k))] for k in _OPERANDS[t]]
-        c = of[id(node)] = keys.setdefault((t, *ops, *[getattr(node, k) for k in _LEAVES[t]]), len(keys))
+        if t not in leaves:
+            leaves[t] = [k for k in t.__dataclass_fields__ if k not in t.operands]
+        ops = [of[id(getattr(node, k))] for k in t.operands]
+        c = of[id(node)] = keys.setdefault((t, *ops, *[getattr(node, k) for k in leaves[t]]), len(keys))
         if c == len(depth):
             depth.append(max([depth[o] for o in ops], default=0) + (t in _LEVELS))
     return keys, of, depth
@@ -213,8 +229,8 @@ class _Evaluation:
     are numbered by structure (_classes), so denotations are memoised per
     class for the whole call, and each (guard, action set) closes its rule
     stack once.  The caller holds f for the call, which keeps each id in the
-    numbering valid; nothing is shared between calls.  EG and E..U are
-    refused from the numbering, before any set work."""
+    numbering valid; nothing is shared between calls.  EG, E..U and other
+    trees' nodes are refused from the numbering, before any set work."""
 
     def __init__(self, g: Gcs, f: Formula, metrics: Optional[Metrics], max_pool):
         self.g, self.max_pool = g, max_pool
@@ -223,6 +239,8 @@ class _Evaluation:
         keys, self.cls, depth = _classes(f)  # id(node of f) -> its class
         self.conj: set[int] = set()  # classes of atoms and of conjunctions of atoms only
         for c, (t, *ops) in enumerate(keys):
+            if not issubclass(t, Formula):
+                raise TypeError(f"not a formula: a {t.__name__} node")
             if t is Eg or t is Eu:
                 raise UndecidableFormulaError(
                     f"{'EG' if t is Eg else 'E..U'} model checking over gap-order "
@@ -245,7 +263,7 @@ class _Evaluation:
         once in the call, operands first; a conjunction of atoms is one
         graph, closed once, so its operands are not evaluated on its behalf."""
         memo, cls = self.memo, self.cls
-        operands = lambda n: () if cls[id(n)] in self.conj or cls[id(n)] in memo else _subformulas(n)
+        operands = lambda n: () if cls[id(n)] in self.conj or cls[id(n)] in memo else children(n)
         for node in postorder(f, operands):
             if cls[id(node)] not in memo:
                 memo[cls[id(node)]] = self._step(node, lambda x: memo[cls[id(x)]])
@@ -266,7 +284,7 @@ class _Evaluation:
             if t is TrueF:
                 value = True
             elif t is NotF or (t is AndF or t is OrF) and c not in self.conj:
-                first, *rest = _subformulas(node)
+                first, *rest = children(node)
                 value = truth.get(cls[id(first)])
                 if value is None:
                     stack.append(first)
@@ -305,7 +323,7 @@ class _Evaluation:
         if isinstance(f, Diamond):
             rules = self.rules(f.guard, (f.action,))
             return sets.pre_action(g, f.action, d(f.f), f.guard, self.metrics, rules=rules)
-        # Ef: the numbering refused EG and E..U, _subformulas any other type
+        # Ef: the numbering refused EG, E..U and every non-formula type
         return sets.pre_star(
             g, d(f.f), f.guard, f.actions, metrics=self.metrics,
             max_pool=self.max_pool, rules=self.rules(f.guard, f.actions),

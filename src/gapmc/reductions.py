@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .gcs import Gcs, TransitionRule, Valuation
-from .logic import Atom, Ef, Formula, and_all, postorder
+from .logic import Atom, Ef, Formula, Tree, and_all, children, postorder
 from .mg import Clause, equal, prime
 
 log = logging.getLogger(__name__)
@@ -25,27 +25,18 @@ log = logging.getLogger(__name__)
 # -- quantified boolean formulas --------------------------------------------
 
 
-class BoolExpr:
-    """Base class; its walks go through logic.postorder, so any depth works.
-    Equality and hash are structural: they compare the key sequences of
-    _keys, one such walk, so they take no recursion at any depth or width."""
+class BoolExpr(Tree):
+    """Base class of QBF matrices.  They are logic trees: equality, hash and
+    every walk are logic's (Tree, postorder), so any depth works."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        if not isinstance(other, BoolExpr):
-            return NotImplemented
-        return self is other or _keys(self) == _keys(other)
-
-    def __hash__(self):
-        return hash(tuple(_keys(self)))
 
     def eval(self, env: dict):
         """The value under env, folded up from the variables.  env maps each
         variable to a bool, 0 or 1, or each to a numpy bool array of its
         values under many assignments, and then the value is such an array."""
         value: dict[int, object] = {}
-        for e in postorder(self, _operands):
+        for e in postorder(self):
             t = type(e)
             if t is BVar:
                 value[id(e)] = env[e.name]
@@ -57,48 +48,33 @@ class BoolExpr:
         return value[id(self)]
 
     def variables(self) -> set[str]:
-        return {e.name for e in postorder(self, _operands) if type(e) is BVar}
+        return {e.name for e in postorder(self) if type(e) is BVar}
 
 
 @dataclass(frozen=True, eq=False)
 class BVar(BoolExpr):
+    operands = ()
     name: str
 
 
 @dataclass(frozen=True, eq=False)
 class BNot(BoolExpr):
+    operands = ("f",)
     f: BoolExpr
 
 
 @dataclass(frozen=True, eq=False)
 class BAnd(BoolExpr):
+    operands = ("left", "right")
     left: BoolExpr
     right: BoolExpr
 
 
 @dataclass(frozen=True, eq=False)
 class BOr(BoolExpr):
+    operands = ("left", "right")
     left: BoolExpr
     right: BoolExpr
-
-
-def _operands(e: BoolExpr) -> tuple:
-    if type(e) not in (BVar, BNot, BAnd, BOr):
-        raise TypeError(f"not a boolean expression: {e!r}")
-    return () if type(e) is BVar else (e.f,) if type(e) is BNot else (e.left, e.right)
-
-
-def _keys(e: BoolExpr) -> list[tuple]:
-    """e's nodes numbered by structure in one walk: a node's key is its type
-    and its name or its operands' numbers; each distinct key is numbered
-    operands first.  Returns the keys in that order, e's last."""
-    number: dict[tuple, int] = {}
-    of: dict[int, int] = {}
-    for node in postorder(e, _operands):
-        key = (type(node), node.name) if type(node) is BVar else (
-            type(node), *[of[id(c)] for c in _operands(node)])
-        of[id(node)] = number.setdefault(key, len(number))
-    return list(number)
 
 
 @dataclass(frozen=True)
@@ -197,7 +173,7 @@ def _dnf(e: BoolExpr) -> list[dict]:
     conjunctions), folded over the (node, negated) pairs below e: ! flips
     the polarity, under which & and | swap (De Morgan).  Contradictory
     conjunctions are dropped."""
-    below = lambda p: [(p[0].f, not p[1])] if type(p[0]) is BNot else [(c, p[1]) for c in _operands(p[0])]
+    below = lambda p: [(p[0].f, not p[1])] if type(p[0]) is BNot else [(c, p[1]) for c in children(p[0])]
     # each pair is made anew, so postorder yields one per occurrence, in the
     # order of the tree: the operands' forms are the top of the stack
     forms: list[list[dict]] = []

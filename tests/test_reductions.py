@@ -4,8 +4,11 @@ import itertools
 import random
 import time
 
+import pytest
+
 from gapmc import logic
 from gapmc.gcs import validate
+from gapmc.mg import Clause
 from gapmc.oracle import qbf_eval
 from gapmc.reductions import (
     BAnd,
@@ -95,6 +98,58 @@ def test_qbf_eval_and_eval_match_the_recursive_reference():
         assert qbf_eval(q) == reference(q)
         env = {v: rng.randint(0, 1) for v in names}
         assert bool(q.matrix.eval(env)) == eval_expr(q.matrix, env)
+
+
+# -- structural equality ------------------------------------------------------------
+
+
+def _keys(e):
+    """e's nodes numbered by structure, written apart from logic's numbering:
+    a node's key is its type and its name or its operands' numbers, each
+    distinct key numbered operands first; the keys in that order."""
+    operands = lambda n: () if type(n) is BVar else (n.f,) if type(n) is BNot else (n.left, n.right)
+    number, of = {}, {}
+    for node in logic.postorder(e, operands):
+        key = (type(node), node.name) if type(node) is BVar else (
+            type(node), *[of[id(c)] for c in operands(node)])
+        of[id(node)] = number.setdefault(key, len(number))
+    return list(number)
+
+
+def test_bool_exprs_are_equal_and_hash_alike_by_the_numbering_of_their_nodes():
+    # each expression is drawn twice from one seed, so equal pairs of
+    # distinct objects occur as often as unequal ones
+    draw = lambda i: random_bool_expr(random.Random(i), ["x", "y"], random.Random(-i).randint(0, 3))
+    exprs = [draw(i) for i in range(150)] + [draw(i) for i in range(150)]
+    rng = random.Random(29)
+    equal = unequal = 0
+    for _ in range(3000):
+        a, b = rng.choice(exprs), rng.choice(exprs)
+        same = _keys(a) == _keys(b)
+        assert (a == b) == same and (a != b) != same
+        if same:
+            assert hash(a) == hash(b)
+        equal, unequal = equal + (same and a is not b), unequal + (not same)
+    assert equal > 300 and unequal > 300
+    assert len(set(exprs)) == len({tuple(_keys(e)) for e in exprs})
+
+
+def test_a_bool_expr_never_equals_a_formula_of_the_same_shape():
+    x = Clause("x", 0, 0)
+    pairs = [
+        (BVar("x"), logic.Atom(x)),
+        (BNot(BVar("x")), logic.NotF(logic.Atom(x))),
+        (BAnd(BVar("x"), BVar("x")), logic.AndF(logic.Atom(x), logic.Atom(x))),
+        (BOr(BVar("x"), BNot(BVar("x"))), logic.OrF(logic.Atom(x), logic.NotF(logic.Atom(x)))),
+    ]
+    for e, f in pairs:
+        assert e != f and f != e and not e == f
+    mixed = {e for pair in pairs for e in pair} | {BNot(BVar("x")), logic.NotF(logic.Atom(x))}
+    assert len(mixed) == len({type(m) for m in mixed}) == 2 * len(pairs)
+    # nor is a matrix node taken for a formula node by the evaluator
+    g, _, _ = qbf_to_gcs(Qbf((("E", "x"),), BVar("x")))
+    with pytest.raises(TypeError, match="not a formula"):
+        logic.denote(g, logic.NotF(BVar("x")))
 
 
 # -- program level ------------------------------------------------------------------

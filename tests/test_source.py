@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 import importlib
+import pkgutil
+import typing
 from pathlib import Path
 
 import gapmc
@@ -53,9 +56,33 @@ def test_every_cache_is_bounded_and_lives_in_mg():
     assert all(isinstance(f.cache_parameters()["maxsize"], int) for f in cached)
 
 
-# functions of the engine modules (mg, sets, logic, bisim) and of gcs, reductions and
-# oracle that no module under src/gapmc or bench/ calls, kept because tests
-# judge the engine by them, each with the reason
+def test_every_tree_takes_equality_hash_and_operands_from_logic():
+    # structural equality and hashing are decided once, in logic.Tree; each
+    # node type only names its subtree fields, which are exactly its fields
+    # that hold a tree, left to right
+    for info in pkgutil.iter_modules(gapmc.__path__):
+        importlib.import_module("gapmc." + info.name)
+    Tree = importlib.import_module("gapmc.logic").Tree
+    found, todo = set(), Tree.__subclasses__()
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if not cls.__module__.startswith("gapmc."):
+            continue
+        found.add(cls.__name__)
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls
+        if dataclasses.is_dataclass(cls):
+            hints = typing.get_type_hints(cls)
+            trees = tuple(k for k in cls.__dataclass_fields__
+                          if isinstance(hints[k], type) and issubclass(hints[k], Tree))
+            assert cls.operands == trees, cls
+    assert {"Formula", "BoolExpr", "Diamond", "BNot"} <= found
+
+
+# functions of the engine modules (mg, sets, logic, bisim), of gcs, reductions and
+# oracle, and of the text edge (frontend, cli) that no module under src/gapmc
+# or bench/ calls, kept because tests judge the engine or its formats by
+# them, each with the reason
 TEST_JUDGES = (
     ("compose", "the full-closure composition that compose_batch is checked against"),
     ("closure", "the canonical form, against the closure oracle of the property suites"),
@@ -76,6 +103,11 @@ TEST_JUDGES = (
     ("program_step", "the boolean program's own semantics, which judges its GCS embedding"),
     ("explicit_check", "one state's explicit verdict, against logic.check on hand-made cases"),
     ("qbf_eval", "the brute-force QBF value, which judges every qbf_to_gcs instance"),
+    ("tokenize", "the lexer's positioned view, each token with its line and column, against a reference lexer"),
+    ("serialize_lts", "the printer of the LTS format, the round-trip partner of parse_lts"),
+    ("mg_to_json", "one graph as JSON, the round-trip partner of mg_from_json"),
+    ("set_to_json", "one set as a JSON value, the round-trip partner of set_from_json"),
+    ("serialize_qbf", "the printer of QBF text, the round-trip partner of parse_qbf"),
 )
 
 
@@ -111,7 +143,8 @@ def test_every_engine_function_has_a_caller():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
     judges = {name for name, _ in TEST_JUDGES}
     defined, uncalled = set(), []
-    for module in ("mg.py", "sets.py", "logic.py", "bisim.py", "gcs.py", "reductions.py", "oracle.py"):
+    for module in ("mg.py", "sets.py", "logic.py", "bisim.py", "gcs.py", "reductions.py", "oracle.py",
+                   "frontend.py", "cli.py"):
         own = trees[pkg / module]
         others = [_names(t) for t in trees.values() if t is not own]
         functions = [(d, False) for d in own.body]
